@@ -62,6 +62,7 @@ from .harness import (
     table2_row,
     traffic_row,
 )
+from .harness.bench import add_suite_argument
 from .sim import TraceSpec
 from .tuner import DEFAULT_CLUSTERS, DEFAULT_SIZES
 
@@ -689,10 +690,7 @@ def main(argv=None) -> int:
                          help="repetitions per workload (best is reported)")
     p_bench.add_argument("--threshold", type=float, default=0.30,
                          help="allowed fractional drop vs baseline (0.30)")
-    p_bench.add_argument("--suite", default="all", metavar="SUITE[:TIER]",
-                         help="restrict to one baseline suite, optionally "
-                              "one tier of it, e.g. engine:compiled "
-                              "(default: all)")
+    add_suite_argument(p_bench)
 
     p_scn = sub.add_parser(
         "scenario", help="run apps clean and under WAN impairments, "

@@ -30,7 +30,6 @@ class ACPParams:
     seed: int = 23
     #: seconds per support check (scan of the support bitset on the PPro).
     check_cost: float = 4.0e-6
-    kernel: str = "real"  # bitmask revision is cheap enough at paper scale
 
     @staticmethod
     def paper() -> "ACPParams":
@@ -79,10 +78,8 @@ def build_network(params: ACPParams) -> Network:
             continue
         allowed = rng.random((d, d)) >= params.tightness
         # Support masks in both directions (a constraint yields two arcs).
-        sup_xy = [int(sum(1 << b for b in range(d) if allowed[a, b]))
-                  for a in range(d)]
-        sup_yx = [int(sum(1 << a for a in range(d) if allowed[a, b]))
-                  for b in range(d)]
+        sup_xy = _support_masks(allowed)
+        sup_yx = _support_masks(allowed.T)
         arcs.setdefault(x, []).append((y, sup_xy))
         arcs.setdefault(y, []).append((x, sup_yx))
     domains = [params.full_domain] * n
@@ -96,6 +93,13 @@ def build_network(params: ACPParams) -> Network:
             mask |= 1 << int(rng.integers(0, d))
         domains[v] = mask
     return Network(n, d, arcs, domains)
+
+
+def _support_masks(allowed: np.ndarray) -> List[int]:
+    """Row ``a`` of a boolean matrix as an int bitmask: bit ``b`` is set
+    where ``allowed[a, b]``."""
+    packed = np.packbits(allowed, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def popcount(mask: int) -> int:

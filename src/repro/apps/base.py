@@ -10,15 +10,18 @@ least) two *variants*: ``original`` (as designed for a single cluster) and
 * reports its answer and app-specific statistics in :meth:`finalize`.
 
 Problem parameters are small frozen dataclasses with two constructors:
-``paper()`` (the sizes of Section 3/4, used by the benchmarks, usually
-with the ``synthetic`` kernel) and ``small()`` (test-sized, ``real``
-kernel, validated against a sequential reference).
+``paper()`` (the sizes of Section 3/4, used by the benchmarks) and
+``small()`` (test-sized, real kernel, validated against a sequential
+reference).
 
-Kernel modes: with ``kernel="real"`` the numeric inner loops actually run
-(results are checked against sequential references in the tests); with
-``kernel="synthetic"`` the inner loop is replaced by its operation-count
-cost charge while every message keeps its true size and path.  Both modes
-share all communication code, so the *performance* model is identical.
+Kernel modes: Water, TSP, ASP, ATPG and IDA* take a ``kernel`` field.
+With ``kernel="real"`` the numeric inner loops actually run (results are
+checked against sequential references in the tests); with
+``kernel="synthetic"`` (their paper-scale default) the inner loop is
+replaced by its operation-count cost charge while every message keeps
+its true size and path.  Both modes share all communication code, so the
+*performance* model is identical.  SOR, ACP and RA have no synthetic
+mode: they run their real kernels at paper scale too.
 """
 
 from __future__ import annotations

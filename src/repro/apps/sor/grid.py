@@ -38,7 +38,13 @@ class SORParams:
     elem_cost: float = 60e-9
     #: chaotic relaxation: keep 1 in N intercluster exchanges (paper: 3).
     chaotic_keep_one_in: int = 3
-    kernel: str = "real"  # numpy sweeps are fast enough at paper scale
+
+    def __post_init__(self):
+        if self.n_rows < 1:
+            raise ValueError(f"SOR needs n_rows >= 1, got {self.n_rows}")
+        if self.n_cols < 3:
+            raise ValueError(f"SOR needs n_cols >= 3 (two fixed boundary "
+                             f"columns and an interior), got {self.n_cols}")
 
     @staticmethod
     def paper() -> "SORParams":
@@ -78,21 +84,62 @@ def sweep_phase(block: np.ndarray, top: np.ndarray, bottom: np.ndarray,
     ``top``/``bottom`` are the ghost rows; ``row0`` is the global index of
     the block's first row (checkerboard parity must be global).  The first
     and last columns are fixed boundary.  Returns the max absolute change.
+
+    Only the cells of the active colour are touched, through strided views
+    of the two row classes (even and odd row offsets); the ghost rows are
+    read only at the block's first and last row.  Updating in place is
+    exact because every neighbour of an active cell has the other colour.
     """
     rows, cols = block.shape
-    if rows == 0:
-        return 0.0
-    padded = np.vstack([top[None, :], block, bottom[None, :]])
-    nb = (padded[:-2, 1:-1] + padded[2:, 1:-1]
-          + padded[1:-1, :-2] + padded[1:-1, 2:])
     om = np.float32(omega)
-    upd = (np.float32(1.0) - om) * block[:, 1:-1] + om * np.float32(0.25) * nb
-    gi = (np.arange(rows) + row0)[:, None]
-    jj = np.arange(1, cols - 1)[None, :]
-    mask = ((gi + jj) % 2) == parity
-    diff = np.abs(np.where(mask, upd - block[:, 1:-1], np.float32(0.0)))
-    block[:, 1:-1] = np.where(mask, upd, block[:, 1:-1])
-    return float(diff.max())
+    keep = np.float32(1.0) - om
+    quarter = om * np.float32(0.25)
+    last = rows - 1
+    maxdiff = np.float32(0.0)
+    for s in range(min(rows, 2)):
+        j0 = 1 + (row0 + s + 1 + parity) % 2  # first active column
+        if j0 > cols - 2:
+            continue
+        # (class rows, rows above them, rows below them)
+        parts = []
+        if s == 0:
+            parts.append((slice(0, 1), top[None, :],
+                          block[1:2] if rows > 1 else bottom[None, :]))
+        if last > 0 and last % 2 == s:
+            parts.append((slice(last, rows), block[last - 1:last],
+                          bottom[None, :]))
+        if 2 - s < last:
+            parts.append((slice(2 - s, last, 2), block[1 - s:last - 1:2],
+                          block[3 - s:rows:2]))
+        for r, up, down in parts:
+            maxdiff = np.maximum(maxdiff, _relax(block, r, up, down, j0,
+                                                 keep, quarter))
+    return float(maxdiff)
+
+
+def _relax(block: np.ndarray, r: slice, up: np.ndarray, down: np.ndarray,
+           j0: int, keep: np.float32, quarter: np.float32) -> np.float32:
+    """Relax ``block[r, j0:-1:2]`` in place from its four neighbours
+    (``up``/``down`` are the full rows above/below ``r``); returns the max
+    absolute change.
+
+    The answer is pinned bit for bit, so the float32 operations are fixed:
+    ``nb = ((up + down) + left) + right``, ``upd = keep * c + quarter * nb``
+    (summed in the other order, which IEEE addition leaves unchanged) and
+    the change ``|upd - c|``.
+    """
+    cols = block.shape[1]
+    cells = slice(j0, cols - 1, 2)
+    c = block[r, cells]
+    nb = up[:, cells] + down[:, cells]
+    nb += block[r, j0 - 1:cols - 2:2]
+    nb += block[r, j0 + 1:cols:2]
+    nb *= quarter
+    nb += keep * c
+    diff = nb - c
+    np.abs(diff, out=diff)
+    c[...] = nb
+    return diff.max()
 
 
 def sequential_reference(params: SORParams) -> Tuple[np.ndarray, int]:

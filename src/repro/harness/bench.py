@@ -54,7 +54,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["main", "measure_engine", "measure_fabric", "measure_orca",
            "measure_collectives", "measure_pdes", "write_baselines",
-           "check_baselines", "parse_suite_request", "SUITES"]
+           "check_baselines", "parse_suite_request", "add_suite_argument",
+           "SUITES"]
 
 ROOT = pathlib.Path(__file__).resolve().parents[3]
 
@@ -240,15 +241,17 @@ def _lower_is_better(name: str) -> bool:
     return name.endswith(LOWER_IS_BETTER_SUFFIXES)
 
 
-def parse_suite_request(request: str) -> Tuple[List[str], Optional[str]]:
+def parse_suite_request(request: Optional[str]
+                        ) -> Tuple[List[str], Optional[str]]:
     """Parse the ``--suite`` value into ``(suites, explicit_tier)``.
 
-    ``all`` expands to every registered suite; ``name`` selects one
-    suite; ``name:tier`` (tiered suites only) additionally pins one
-    baseline tier, which ``--check`` then must find both committed and
-    measurable.  Raises ``ValueError`` on unknown names.
+    ``all`` (or ``None``, no ``--suite`` given) expands to every
+    registered suite; ``name`` selects one suite; ``name:tier`` (tiered
+    suites only) additionally pins one baseline tier, which ``--check``
+    then must find both committed and measurable.  Raises ``ValueError``
+    on unknown names.
     """
-    if request == "all":
+    if request is None or request == "all":
         return sorted(SUITES), None
     suite, sep, tier = request.partition(":")
     if suite not in SUITES:
@@ -264,6 +267,27 @@ def parse_suite_request(request: str) -> Tuple[List[str], Optional[str]]:
         raise ValueError(f"empty tier in {request!r} (want e.g. "
                          f"{suite}:python)")
     return [suite], tier
+
+
+class _SuiteOnce(argparse.Action):
+    """``--suite`` takes one value: a repeat is an error naming both
+    values, not a silent last-one-wins."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        previous = getattr(namespace, self.dest)
+        if previous is not None:
+            parser.error(f"--suite given twice ({previous!r} and {value!r}); "
+                         f"pass one SUITE[:TIER]")
+        setattr(namespace, self.dest, value)
+
+
+def add_suite_argument(parser: argparse.ArgumentParser) -> None:
+    """Add the ``--suite`` option (``None`` when absent, meaning all)."""
+    parser.add_argument("--suite", action=_SuiteOnce, default=None,
+                        metavar="SUITE[:TIER]",
+                        help="restrict to one baseline suite, optionally "
+                             "one tier of it, e.g. engine:compiled "
+                             "(default: all)")
 
 
 # ---------------------------------------------------------- write / check
@@ -394,10 +418,7 @@ def main(argv=None) -> int:
                         help="repetitions per workload (best is reported)")
     parser.add_argument("--threshold", type=float, default=0.30,
                         help="allowed fractional drop vs baseline (0.30)")
-    parser.add_argument("--suite", default="all", metavar="SUITE[:TIER]",
-                        help="restrict to one baseline suite, optionally "
-                             "one tier of it, e.g. engine:compiled "
-                             "(default: all)")
+    add_suite_argument(parser)
     args = parser.parse_args(argv)
     try:
         suites, tier = parse_suite_request(args.suite)

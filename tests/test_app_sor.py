@@ -11,6 +11,21 @@ from repro.harness import run_app
 # ----------------------------------------------------------------- domain
 
 
+@pytest.mark.parametrize("kw, field", [({"n_cols": 2}, "n_cols"),
+                                       ({"n_cols": 0}, "n_cols"),
+                                       ({"n_rows": 0}, "n_rows")])
+def test_params_reject_degenerate_grids(kw, field):
+    """A grid without an interior fails up front, not deep in numpy."""
+    with pytest.raises(ValueError, match=field):
+        SORParams.small().with_(**kw)
+
+
+def test_params_accept_smallest_grid():
+    params = SORParams.small(n_rows=1, n_cols=3).with_(n_iterations=2)
+    grid, iterations = gridmod.sequential_reference(params)
+    assert grid.shape == (1, 3) and iterations == 2
+
+
 def test_sweep_preserves_fixed_columns():
     params = SORParams.small()
     g = gridmod.initial_grid(params)

@@ -3,6 +3,8 @@ the measure functions are stubbed, so these stay milliseconds-fast)."""
 
 import json
 
+import pytest
+
 from repro.harness import bench
 
 
@@ -68,11 +70,11 @@ def test_committed_engine_baseline_is_sectioned_per_tier():
 def test_parse_suite_request():
     suites, tier = bench.parse_suite_request("all")
     assert suites == sorted(bench.SUITES) and tier is None
+    assert bench.parse_suite_request(None) == (suites, None)
     assert "collectives" in suites
     assert bench.parse_suite_request("orca") == (["orca"], None)
     assert bench.parse_suite_request("engine:compiled") \
         == (["engine"], "compiled")
-    import pytest
     with pytest.raises(ValueError, match="unknown suite"):
         bench.parse_suite_request("nosuch")
     with pytest.raises(ValueError, match="no tiers"):
@@ -135,3 +137,20 @@ def test_committed_collectives_baseline_exists():
             "tune_probe"} <= names
     for entry in data["results"].values():
         assert entry["ops_per_s"] > 0
+
+
+@pytest.mark.parametrize("entry", ["cli", "module"])
+def test_suite_given_twice_is_an_error(entry, capsys):
+    """A repeated --suite names both values instead of silently keeping
+    the last one; nothing is measured."""
+    argv = ["--check", "--suite", "orca", "--suite", "engine:compiled"]
+    with pytest.raises(SystemExit) as exc:
+        if entry == "cli":
+            from repro.__main__ import main as cli_main
+            cli_main(["bench"] + argv)
+        else:
+            bench.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--suite given twice" in err
+    assert "'orca'" in err and "'engine:compiled'" in err
