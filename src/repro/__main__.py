@@ -119,9 +119,7 @@ def _runner(args) -> ParallelRunner:
     trace, trace_dir = _trace_spec(args)
     return ParallelRunner(jobs=getattr(args, "jobs", None), cache=cache,
                           trace=trace, trace_dir=trace_dir,
-                          batch=getattr(args, "batch", None),
-                          pdes=getattr(args, "pdes", None),
-                          pdes_workers=getattr(args, "pdes_workers", None))
+                          batch=getattr(args, "batch", None))
 
 
 def cmd_list(_args) -> int:
@@ -211,14 +209,8 @@ def cmd_app(args) -> int:
     runner = _runner(args)
     params = bench_params(args.app)
     spec = RunSpec(args.app, args.variant, args.clusters, args.nodes, params,
-                   decision=_load_decision(args), pdes=args.pdes,
-                   pdes_workers=args.pdes_workers)
-    if args.pdes in ("on", "auto"):
-        # Execute in-process: a sweep-pool worker would claim the host
-        # cores for itself and the partition pool would resolve to one.
-        res = spec.execute()
-    else:
-        res = runner.run_one(spec)
+                   decision=_load_decision(args))
+    res = runner.run_one(spec)
     print(f"{args.app}/{args.variant} on {args.clusters}x{args.nodes}: "
           f"{res.elapsed:.4f} virtual seconds")
     for key, row in sorted(res.traffic.items()):
@@ -227,11 +219,6 @@ def cmd_app(args) -> int:
                   f"{row['bytes'] / 1024:.0f} kbytes")
     if res.stats:
         print(f"  stats: {res.stats}")
-    if args.pdes in ("on", "auto"):
-        from .obs import format_pdes_summary
-        summary = format_pdes_summary(res.sim_stats or {})
-        if summary:
-            print(f"  {summary}")
     return 0
 
 
@@ -554,16 +541,6 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
                              "each listed kind (deterministic)")
 
 
-def _add_pdes_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pdes", choices=["off", "on", "auto"], default=None,
-                        help="partitioned (per-cluster) execution across "
-                             "host cores; identical results (default: "
-                             "the REPRO_PDES environment variable)")
-    parser.add_argument("--pdes-workers", type=int, default=None, metavar="N",
-                        help="partition worker count (default: one per "
-                             "cluster, capped at host cores)")
-
-
 def _add_bound_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ring", type=int, default=None, metavar="N",
                         help="keep only the last N trace records "
@@ -618,7 +595,6 @@ def main(argv=None) -> int:
                        default=list(QUICK_CPUS))
     p_fig.add_argument("--plot", action="store_true",
                        help="render as an ASCII chart")
-    _add_pdes_flags(p_fig)
     _add_sweep_flags(p_fig)
 
     p_app = sub.add_parser("app", help="run one application once")
@@ -629,7 +605,6 @@ def main(argv=None) -> int:
     p_app.add_argument("--decision", default=None, metavar="PATH",
                        help="install a tuned DecisionModel (JSON from "
                             "'repro tune --out'; default: fixed strategy)")
-    _add_pdes_flags(p_app)
     _add_sweep_flags(p_app)
 
     p_prof = sub.add_parser(

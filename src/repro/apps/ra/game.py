@@ -44,7 +44,6 @@ class RAParams:
     combine_max_messages: int = 64
     combine_max_bytes: int = 16 * 1024
     combine_max_delay: float = 2e-3
-    kernel: str = "real"  # the real kernel *is* the scaled substitution
 
     @staticmethod
     def paper() -> "RAParams":
@@ -78,8 +77,8 @@ def build_game(params: RAParams) -> GameGraph:
 
     The graph is a pure function of the (frozen, hashable) params and
     is never mutated by a run — values live in separate tables — so it
-    is memoized: every PDES partition worker, sweep repeat and bench
-    iteration over the same point reuses one build.
+    is memoized: every sweep repeat and bench iteration over the same
+    point reuses one build.
     """
     cached = _GAME_CACHE.get(params)
     if cached is not None:

@@ -2,7 +2,7 @@
 
 One entry point shared by humans and CI: the ``repro bench`` verb and
 the ``tools/bench_report.py`` shim both call :func:`main` here.  The
-repo commits three small JSON files at its root:
+repo commits four small JSON files at its root:
 
 * ``BENCH_engine.json`` — events/s per engine micro-workload, one
   section per engine tier (``python`` always; ``compiled`` when the
@@ -13,11 +13,6 @@ repo commits three small JSON files at its root:
   (fast tier, micro) plus whole-app runs/s (macro)
 * ``BENCH_collectives.json`` — collectives/s per tuner primitive (the
   shaped/striped WAN paths) plus the tuner probe loop
-* ``BENCH_pdes.json``   — per-epoch protocol overhead of the
-  partitioned engine over the single-process oracle (µs/epoch,
-  lower-is-better: the check enforces a *ceiling*), plus informational
-  throughput, epoch counts, the wall-clock speedup and the
-  ``host_cores`` geometry it was measured on
 
 ``--suite`` accepts a suite name or ``suite:tier`` (e.g.
 ``engine:compiled``).  An *explicitly* requested suite or tier that has
@@ -53,7 +48,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["main", "measure_engine", "measure_fabric", "measure_orca",
-           "measure_collectives", "measure_pdes", "write_baselines",
+           "measure_collectives", "write_baselines",
            "check_baselines", "parse_suite_request", "add_suite_argument",
            "SUITES"]
 
@@ -63,7 +58,6 @@ ENGINE_JSON = ROOT / "BENCH_engine.json"
 FABRIC_JSON = ROOT / "BENCH_fabric.json"
 ORCA_JSON = ROOT / "BENCH_orca.json"
 COLLECTIVES_JSON = ROOT / "BENCH_collectives.json"
-PDES_JSON = ROOT / "BENCH_pdes.json"
 
 
 def _import_benchmarks() -> None:
@@ -176,31 +170,6 @@ def measure_collectives(repeat: int = 3) -> dict:
             for name, entry in data.items()}
 
 
-def measure_pdes(repeat: int = 3) -> dict:
-    """Partitioned-engine whole-run throughput vs the single-process
-    oracle (one forked worker per cluster), plus ``host_cores``."""
-    _import_benchmarks()
-    from bench_pdes_micro import run_suite
-
-    _text, data = run_suite(repeat=repeat)
-    return data
-
-
-def _flat_pdes(results: dict) -> Dict[str, float]:
-    """Per-epoch protocol overhead only (µs/epoch, lower-is-better).
-
-    Raw throughput, the speedup ratio and the core count depend on the
-    measuring host's geometry, so they ride along unchecked; overhead
-    per epoch is the one number that isolates the synchronization
-    protocol from the work the oracle does anyway."""
-    flat = {}
-    for name, entry in results.items():
-        if not isinstance(entry, dict):
-            continue  # host_cores and other scalars: informational
-        flat[f"{name}/overhead_us_per_epoch"] = entry["overhead_us_per_epoch"]
-    return flat
-
-
 def _flat_engine(results: dict) -> Dict[str, float]:
     if any(not isinstance(v, dict) for v in results.values()):
         return dict(results)  # pre-tier flat layout (old baselines)
@@ -224,22 +193,11 @@ SUITES: Dict[str, Tuple[pathlib.Path, Callable[[int], dict],
     "fabric": (FABRIC_JSON, measure_fabric, _flat_fabric),
     "orca": (ORCA_JSON, measure_orca, _flat_orca),
     "collectives": (COLLECTIVES_JSON, measure_collectives, _flat_orca),
-    "pdes": (PDES_JSON, measure_pdes, _flat_pdes),
 }
 
 #: suites whose baseline JSON has one section per tier (``suite:tier``
 #: requests are only meaningful for these).
 TIERED_SUITES = ("engine",)
-
-#: metric-name suffixes that measure a *cost* rather than a throughput:
-#: for these the check enforces a ceiling (``base * (1 + threshold)``)
-#: instead of a floor, and a drop is an improvement.
-LOWER_IS_BETTER_SUFFIXES = ("overhead_us_per_epoch",)
-
-
-def _lower_is_better(name: str) -> bool:
-    return name.endswith(LOWER_IS_BETTER_SUFFIXES)
-
 
 def parse_suite_request(request: Optional[str]
                         ) -> Tuple[List[str], Optional[str]]:
@@ -365,16 +323,6 @@ def check_baselines(repeat: int, threshold: float, suites: Sequence[str],
             if cur is None:
                 failures.append(f"{suite}/{name}: missing from current run")
                 rows.append((suite, name, base, None, "MISSING"))
-                continue
-            if _lower_is_better(name):
-                ceiling = base * (1.0 + threshold)
-                status = "ok" if cur <= ceiling else "REGRESSION"
-                rows.append((suite, name, base, cur, status))
-                if cur > ceiling:
-                    failures.append(
-                        f"{suite}/{name}: {cur} is {cur / base - 1:.0%} "
-                        f"above baseline {base} (lower is better, "
-                        f"threshold {threshold:.0%})")
                 continue
             floor = base * (1.0 - threshold)
             status = "ok" if cur >= floor else "REGRESSION"

@@ -37,9 +37,7 @@ def run_app(app: Application, variant: str, n_clusters: int,
             fast_paths: bool = True,
             runtime_fast_paths: Optional[bool] = None,
             scenario: Optional["Scenario"] = None,
-            decision: Optional[Any] = None,
-            pdes: Optional[str] = None,
-            pdes_workers: Optional[int] = None) -> AppResult:
+            decision: Optional[Any] = None) -> AppResult:
     """Run ``app``/``variant`` on ``n_clusters`` x ``nodes_per_cluster``.
 
     ``dedicated_sequencer_node`` applies the paper's further broadcast
@@ -75,12 +73,6 @@ def run_app(app: Application, variant: str, n_clusters: int,
     point-to-point WAN striping.  ``None`` — the default — keeps the
     fixed strategy, bit-identical to the pre-tuner stack (see
     docs/TUNING.md).
-
-    ``pdes`` selects partitioned execution (``"off"``/``"on"``/
-    ``"auto"``; ``None`` defers to ``REPRO_PDES``): eligible runs split
-    per cluster block across ``pdes_workers`` forked workers and
-    synchronize conservatively at WAN horizons, producing the identical
-    result (see docs/ARCHITECTURE.md and :mod:`repro.sim.pdes`).
     """
     app.check_variant(variant)
     topo = topology if topology is not None \
@@ -88,34 +80,6 @@ def run_app(app: Application, variant: str, n_clusters: int,
     if scenario is not None:
         from ..scenario import install, scenario_topology
         topo = scenario_topology(scenario, topo)
-
-    from ..sim.pdes import pdes_ineligible_reason, pdes_mode
-    mode = pdes_mode(pdes)
-    if mode != "off":
-        from ..sim.pdes import run_app_pdes
-        from . import jobs
-        reason = pdes_ineligible_reason(
-            app, topo.n_clusters, scenario=scenario, decision=decision,
-            utilization=utilization)
-        if reason is None and mode == "auto" and not jobs.pdes_auto_allowed():
-            reason = "auto declines to nest inside a sweep-pool worker"
-        width = jobs.pdes_workers(topo.n_clusters, requested=pdes_workers)
-        if reason is None and width < 2:
-            reason = "only one partition worker resolved"
-        if reason is None:
-            return run_app_pdes(
-                app, variant, n_clusters, nodes_per_cluster, params,
-                network=network, sequencer=sequencer,
-                dedicated_sequencer_node=dedicated_sequencer_node,
-                topo=topo, trace=trace, tracer=tracer,
-                fast_paths=fast_paths,
-                runtime_fast_paths=runtime_fast_paths,
-                scenario=scenario, n_workers=width)
-        if mode == "on":
-            import sys
-            print(f"repro: warning: REPRO_PDES=on but {app.name}/{variant} "
-                  f"cannot be partitioned ({reason}); "
-                  f"running single-process", file=sys.stderr)
 
     # Run-local ids: traces (which join on message/request ids) come out
     # identical no matter how many runs preceded this one in the process.

@@ -39,7 +39,6 @@ from ..apps.base import AppResult
 from ..network import DAS_PARAMS, NetworkParams
 from ..scenario import Scenario
 from ..sim.trace import TraceRecord, TraceSpec
-from . import jobs as jobs_mod
 
 __all__ = [
     "RunSpec",
@@ -50,9 +49,8 @@ __all__ = [
     "format_stragglers",
 ]
 
-#: Environment variable supplying the default worker count (parsed by
-#: the shared resolver in :mod:`repro.harness.jobs`).
-JOBS_ENV = jobs_mod.JOBS_ENV
+#: Environment variable supplying the default worker count.
+JOBS_ENV = "REPRO_JOBS"
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Salt mixed into every cache key.  Bump when a simulator change is
@@ -67,10 +65,23 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_SCHEMA = "3"
 
 
-#: Worker count from ``REPRO_JOBS`` — re-exported from the shared
-#: resolver (:mod:`repro.harness.jobs`), which the PDES partition pool
-#: uses too, so both layers parse the environment identically.
-default_jobs = jobs_mod.default_jobs
+def default_jobs() -> int:
+    """Sweep worker count from ``REPRO_JOBS`` (default 1 — fully serial).
+
+    Values below 1 clamp to 1.  An unparsable value also yields 1, but
+    *loudly* — a typo silently changing the parallelism a user asked
+    for is a debugging trap.
+    """
+    raw = os.environ.get(JOBS_ENV, "").strip()
+    if not raw:
+        return 1
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        print(f"repro: warning: ignoring unparsable {JOBS_ENV}={raw!r} "
+              f"(want an integer); running serially with 1 job",
+              file=sys.stderr)
+        return 1
 
 
 def default_cache_dir() -> str:
@@ -114,13 +125,6 @@ class RunSpec:
     #: spells out every fitted coefficient, so tuned and fixed runs have
     #: distinct cache identities.
     decision: Optional[Any] = None
-    #: Partitioned (PDES) execution mode for this run
-    #: (``"off"``/``"on"``/``"auto"``; ``None`` defers to ``REPRO_PDES``)
-    #: and the worker count.  Excluded from the cache key: a PDES run
-    #: produces the identical result, so both execution modes share one
-    #: cache identity — exactly like the trace spec.
-    pdes: Optional[str] = None
-    pdes_workers: Optional[int] = None
 
     def __post_init__(self):
         if self.app not in ALL_APPS:
@@ -154,16 +158,10 @@ class RunSpec:
                          network=self.network, sequencer=self.sequencer,
                          dedicated_sequencer_node=self.dedicated_sequencer_node,
                          trace=tracer is not None, tracer=tracer,
-                         scenario=self.scenario, decision=self.decision,
-                         pdes=self.pdes, pdes_workers=self.pdes_workers)
+                         scenario=self.scenario, decision=self.decision)
         if tracer is not None:
             result.trace_records = list(tracer.records)
         return result
-
-
-def _mark_pool_worker(width: int) -> None:
-    """Pool initializer: record the sweep fan-out in the environment."""
-    os.environ[jobs_mod.ACTIVE_JOBS_ENV] = str(width)
 
 
 def _execute_spec(spec: RunSpec) -> AppResult:
@@ -195,21 +193,33 @@ class ResultCache:
     """On-disk result cache: one pickle per content-hash key.
 
     Writes are atomic (tempfile + rename), so a crashed or parallel
-    writer can never leave a truncated entry; unreadable entries are
-    treated as misses and overwritten.
+    writer can never leave a truncated entry.  A missing entry is a
+    silent miss.  An entry that exists but cannot be read (corrupt
+    bytes, or a pickle naming a class or module that no longer exists)
+    is a *loud* miss: one stderr warning naming the file, counted on
+    :attr:`corrupt`; the runner then recomputes and overwrites it.
     """
 
     def __init__(self, root: Optional[str] = None):
         self.root = root if root is not None else default_cache_dir()
+        #: Unreadable entries met by :meth:`get` over this cache's life.
+        self.corrupt = 0
 
     def _path(self, key: str) -> str:
         return os.path.join(self.root, key[:2], key + ".pkl")
 
     def get(self, key: str) -> Optional[AppResult]:
+        path = self._path(key)
         try:
-            with open(self._path(key), "rb") as fh:
+            with open(path, "rb") as fh:
                 return pickle.load(fh)
-        except (OSError, pickle.PickleError, EOFError, AttributeError):
+        except FileNotFoundError:
+            return None
+        except Exception as exc:  # any unpickling failure: recompute
+            self.corrupt += 1
+            print(f"repro: warning: unreadable cache entry {path} "
+                  f"({type(exc).__name__}: {exc}); recomputing",
+                  file=sys.stderr)
             return None
 
     def put(self, key: str, result: AppResult) -> None:
@@ -270,24 +280,13 @@ class ParallelRunner:
     ``{app}-{variant}-{C}x{N}-{key8}.trace.json`` (and then dropped from
     the in-memory result, so a big sweep never holds every trace at
     once); the paths accumulate on ``trace_files``.
-
-    ``pdes`` (with optional ``pdes_workers``) applies the partitioned
-    execution mode to every spec that does not already pin one — the
-    same mirror pattern as ``trace``.  PDES runs are bit-identical to
-    single-process runs, so cache identities are unchanged; points that
-    execute serially in this process additionally *reuse* the forked
-    PDES worker pool across consecutive grid points of the same
-    topology (see :func:`repro.sim.pdes.shutdown_pool`), so a figure
-    sweep pays the fork cost once per geometry, not once per point.
     """
 
     def __init__(self, jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
                  trace: Optional[TraceSpec] = None,
                  trace_dir: Optional[str] = None,
-                 batch: Optional[int] = None,
-                 pdes: Optional[str] = None,
-                 pdes_workers: Optional[int] = None):
+                 batch: Optional[int] = None):
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         self.cache = cache
         self.trace = trace
@@ -299,8 +298,6 @@ class ParallelRunner:
         #: the pool so pickle/IPC overhead is amortized while each
         #: worker still sees several dispatches for load balance.
         self.batch = batch if batch is None else max(1, int(batch))
-        self.pdes = pdes
-        self.pdes_workers = pdes_workers
         self.trace_files: List[str] = []
         self.hits = 0      # cache hits over this runner's lifetime
         self.computed = 0  # specs actually simulated
@@ -318,13 +315,6 @@ class ParallelRunner:
         if self.trace is not None:
             specs = [dataclasses.replace(spec, trace=self.trace)
                      if spec.trace is None else spec for spec in specs]
-        if self.pdes is not None:
-            specs = [dataclasses.replace(
-                         spec, pdes=self.pdes,
-                         pdes_workers=spec.pdes_workers
-                         if spec.pdes_workers is not None
-                         else self.pdes_workers)
-                     if spec.pdes is None else spec for spec in specs]
         results: List[Optional[AppResult]] = [None] * len(specs)
         # Group uncached work by content key so duplicates run once.
         # The trace spec rides along in the dedup key: a traced and an
@@ -399,11 +389,7 @@ class ParallelRunner:
             ctx = mp.get_context("spawn")
         n = min(self.jobs, len(work))
         size = self._batch_size(len(work), n)
-        # Mark workers with the pool width: nested host-parallel layers
-        # (the PDES partition pool) read it and decline to multiply the
-        # fan-out (see repro.harness.jobs).
-        with ctx.Pool(processes=n, initializer=_mark_pool_worker,
-                      initargs=(n,)) as pool:
+        with ctx.Pool(processes=n) as pool:
             if size <= 1:
                 # chunksize=1: grid points are coarse and unevenly sized.
                 return pool.map(_execute_timed, work, chunksize=1)

@@ -41,17 +41,12 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from ..metrics.counters import TrafficMeter
-from ..sim import (CPU, Channel, Event, Resource, SimulationError, Simulator,
-                   Tracer, fire)
+from ..sim import CPU, Channel, Event, Resource, Simulator, Tracer, fire
 from .message import Message
 from .params import LINK_CLASSES, NetworkParams
 from .topology import Topology
 
 __all__ = ["Node", "Gateway", "Fabric"]
-
-
-def _NO_THEN() -> None:
-    """Placeholder continuation for legs cut at a PDES boundary."""
 
 
 class Node:
@@ -116,15 +111,6 @@ class Fabric:
         #: (the default tier) means one stream — bit-identical to the
         #: pre-tuner fabric.  See docs/TUNING.md.
         self.decision = None
-        #: Optional :class:`repro.sim.pdes.PartitionBoundary`.  When a
-        #: PDES worker installs one, point-to-point WAN deliveries whose
-        #: destination cluster lives in *another* partition stop at the
-        #: PVC stage: the source half runs here (access up, gateway
-        #: forward, PVC occupancy, ``wan.xfer`` emit) and the boundary
-        #: exports a timestamped arrival for the owning partition, which
-        #: replays the destination half via :meth:`pdes_arrive`.  ``None``
-        #: (always, outside PDES workers) keeps every path single-process.
-        self.pdes = None
 
         self.nodes: List[Node] = [
             Node(sim, nid, topo.cluster_of(nid)) for nid in range(topo.n_nodes)
@@ -181,15 +167,12 @@ class Fabric:
         return max(1, self.decision.wan_streams(size, self.topo.n_clusters))
 
     def send(self, src: int, dst: int, size: int, payload: Any = None,
-             port: str = "default", kind: str = "msg", *,
-             _wait: bool = False) -> Generator:
+             port: str = "default", kind: str = "msg") -> Generator:
         """Generator: caller pays sender overhead, delivery runs in background.
 
         Yields from the calling process; *returns* the delivery
         :class:`Event` (fires with the :class:`Message` once deposited in
-        the destination port).  ``_wait`` marks the send as one the
-        caller will block on (:meth:`send_and_wait` sets it) — only the
-        PDES boundary consumes it, to arm the delivery acknowledgment.
+        the destination port).
         """
         msg = Message(src=src, dst=dst, size=size, payload=payload,
                       port=port, kind=kind, send_time=self.sim.now)
@@ -214,10 +197,9 @@ class Fabric:
                 # Impaired or striped WAN: the legacy leg draws and pays
                 # the perturbations (and chunk legs) in deterministic
                 # event order.
-                return self.sim.spawn(
-                    self._deliver_wan(msg, streams, wait=_wait),
-                    name="wanmsg")
-            return self._fast_wan(msg, wait=_wait)
+                return self.sim.spawn(self._deliver_wan(msg, streams),
+                                      name="wanmsg")
+            return self._fast_wan(msg)
         yield self.sim.spawn(self.nodes[src].cpu.execute(cost))
         if src == dst:
             done = self.sim.spawn(self._deliver_self(msg), name="selfmsg")
@@ -225,15 +207,14 @@ class Fabric:
             done = self.sim.spawn(self._deliver_lan(msg), name="lanmsg")
         else:
             done = self.sim.spawn(
-                self._deliver_wan(msg, self._p2p_streams(size), wait=_wait),
+                self._deliver_wan(msg, self._p2p_streams(size)),
                 name="wanmsg")
         return done
 
     def send_and_wait(self, src: int, dst: int, size: int, payload: Any = None,
                       port: str = "default", kind: str = "msg") -> Generator:
         """Generator: like :meth:`send` but blocks until delivery."""
-        done = yield from self.send(src, dst, size, payload, port, kind,
-                                    _wait=True)
+        done = yield from self.send(src, dst, size, payload, port, kind)
         msg = yield done
         return msg
 
@@ -642,20 +623,8 @@ class Fabric:
         sim.after(0.0, request_step)
 
     def _fast_wan_leg(self, msg_size: int, src_cluster: int, dst_cluster: int,
-                      msg_id: int, then: Callable[[], None],
-                      export: Optional[Callable[[float], None]] = None
-                      ) -> None:
-        """Gateway -> WAN PVC -> remote gateway (shared by all WAN paths).
-
-        ``export`` — set only on a PDES partition boundary — cuts the
-        leg at the PVC: it is called at PVC *release* with the known
-        arrival time (release + latency), the ``wan.xfer`` record is
-        still emitted here (the PVC is source-owned), and the remote
-        gateway forward is left to the destination partition
-        (:meth:`pdes_arrive`) instead of running ``then``.  Exporting at
-        release rather than arrival is what gives the coordinator a full
-        WAN-latency lookahead window.
-        """
+                      msg_id: int, then: Callable[[], None]) -> None:
+        """Gateway -> WAN PVC -> remote gateway (shared by all WAN paths)."""
         wan = self.params.wan
         sim = self.sim
         tr = self.tracer
@@ -669,8 +638,6 @@ class Fabric:
 
             def after_occ(_ev2: Event) -> None:
                 self.meter.record_wan(msg_size)
-                if export is not None:
-                    export(sim.now + wan.latency)
 
                 def after_lat(_ev3: Event) -> None:
                     if tr.enabled:
@@ -678,9 +645,7 @@ class Fabric:
                         tr.emit(now, "wan.xfer", src_cluster=src_cluster,
                                 dst_cluster=dst_cluster, size=msg_size,
                                 tx=tx, msg_id=msg_id, t0=t1, dur=now - t1)
-                    if export is None:
-                        self._fast_gw_forward(dst_cluster, msg_size, msg_id,
-                                              then)
+                    self._fast_gw_forward(dst_cluster, msg_size, msg_id, then)
 
                 sim.after(wan.latency, after_lat)
 
@@ -688,25 +653,11 @@ class Fabric:
 
         self._fast_gw_forward(src_cluster, msg_size, msg_id, after_fwd)
 
-    def _fast_wan(self, msg: Message, wait: bool = False) -> Event:
+    def _fast_wan(self, msg: Message) -> Event:
         sim = self.sim
         done = Event(sim)
         src_cluster = self.topo.cluster_of(msg.src)
         dst_cluster = self.topo.cluster_of(msg.dst)
-        bnd = self.pdes
-        if bnd is not None and not bnd.owns(dst_cluster):
-            # Partition boundary: run the source half, export the
-            # arrival; the owning partition replays the remote half and
-            # acks the deposit, which fires ``done`` at the delivery
-            # time (only consumed when ``wait`` armed it).
-            bnd.register(msg, done, wait)
-            self._fast_access_up(
-                msg.size, src_cluster, msg.msg_id,
-                lambda: self._fast_wan_leg(
-                    msg.size, src_cluster, dst_cluster, msg.msg_id,
-                    _NO_THEN,
-                    export=lambda arrival: bnd.export(msg, arrival, "fast")))
-            return done
 
         def arrive(_ev: Event) -> None:
             self._deposit_complete(msg, done)
@@ -900,9 +851,7 @@ class Fabric:
             lan.o_recv + msg.size * lan.per_byte_cpu))
 
     def _wan_leg(self, msg_size: int, src_cluster: int, dst_cluster: int,
-                 msg_id: int = -1, streams: int = 1,
-                 export: Optional[Callable[[float], None]] = None
-                 ) -> Generator:
+                 msg_id: int = -1, streams: int = 1) -> Generator:
         """Gateway -> WAN PVC -> remote gateway (shared by all WAN paths).
 
         ``msg_id`` labels the trace records with the point-to-point
@@ -912,18 +861,7 @@ class Fabric:
         still serialize on the capacity-1 PVC, but their latencies and —
         under loss impairment — retransmit timeouts overlap.  The
         gateway forwards bracket the whole transfer either way.
-
-        ``export`` cuts the leg at the PVC for a PDES partition
-        boundary, exactly like :meth:`_fast_wan_leg`: called at PVC
-        release with the (possibly impairment-perturbed) arrival time;
-        the remote gateway forward then belongs to the destination
-        partition.  Striped transfers cannot be cut (their chunks
-        arrive independently), and PDES eligibility excludes them.
         """
-        if export is not None and streams > 1:
-            raise SimulationError(
-                "striped WAN transfers cannot cross a PDES partition "
-                "boundary (eligibility should have fallen back)")
         gwp = self.params.gateway
         wan = self.params.wan
         tr = self.tracer
@@ -968,16 +906,12 @@ class Fabric:
                 self._wan[(src_cluster, dst_cluster)], tx, "wan", msg_size,
                 msg_id))
             self.meter.record_wan(msg_size)
-            if export is not None:
-                export(self.sim.now + latency)
             yield self.sim.timeout(latency)
             if traced:
                 now = self.sim.now
                 tr.emit(now, "wan.xfer", src_cluster=src_cluster,
                         dst_cluster=dst_cluster, size=msg_size, tx=tx,
                         msg_id=msg_id, t0=t0, dur=now - t0)
-        if export is not None:
-            return  # remote gateway forward runs in the owning partition
         # Remote gateway store-and-forward.
         t0 = self.sim.now
         qd = yield self.sim.spawn(self._gw_execute(dst_cluster, fwd_cost))
@@ -1059,91 +993,15 @@ class Fabric:
         yield self.sim.spawn(self.nodes[dst].cpu.execute(
             access.o_recv + msg.size * access.per_byte_cpu))
 
-    def _deliver_wan(self, msg: Message, streams: int = 1,
-                     wait: bool = False) -> Generator:
+    def _deliver_wan(self, msg: Message, streams: int = 1) -> Generator:
         src_cluster = self.topo.cluster_of(msg.src)
         dst_cluster = self.topo.cluster_of(msg.dst)
-        bnd = self.pdes
-        if bnd is not None and not bnd.owns(dst_cluster):
-            # Partition boundary (legacy/impaired path): source half
-            # here, arrival exported at PVC release; the delivery ack
-            # fires ``gate`` at the deposit time so this process — the
-            # event send_and_wait callers block on — completes at the
-            # same virtual time the single-process run delivers at.
-            gate = Event(self.sim)
-            bnd.register(msg, gate, wait)
-            yield self.sim.spawn(self._access_leg_up(msg.size, src_cluster,
-                                                     msg.msg_id))
-            yield self.sim.spawn(self._wan_leg(
-                msg.size, src_cluster, dst_cluster, msg.msg_id, streams,
-                export=lambda arrival: bnd.export(msg, arrival, "legacy")))
-            yield gate
-            return msg
         yield self.sim.spawn(self._access_leg_up(msg.size, src_cluster,
                                                  msg.msg_id))
         yield self.sim.spawn(self._wan_leg(msg.size, src_cluster, dst_cluster,
                                            msg.msg_id, streams))
         yield self.sim.spawn(self._access_leg_down(msg, msg.dst))
         self._deposit(msg)
-        return msg
-
-    # --------------------------------------------- PDES partition boundary
-
-    def pdes_arrive(self, msg: Message, path: str) -> None:
-        """Replay the destination half of a WAN delivery (PDES injection).
-
-        Called by the partition worker at the exported arrival instant —
-        the moment the payload clears the WAN PVC toward this
-        partition's gateway.  ``path`` selects the tier the source half
-        ran on (``"fast"`` callback chains or ``"legacy"`` process
-        legs) so the remaining legs replay at identical dispatch depths
-        and virtual times.  Deposits always ack back through the
-        boundary; the source partition fires the sender's delivery
-        event at that time (or drops the ack when nobody waits).
-        """
-        if path == "fast":
-            self._pdes_fast_tail(msg)
-        else:
-            self.sim.spawn(self._pdes_legacy_tail(msg), name="wanmsg")
-
-    def _pdes_fast_tail(self, msg: Message) -> None:
-        """Remote half of :meth:`_fast_wan`: gateway forward -> access
-        down -> deposit, then the delivery ack."""
-        sim = self.sim
-        done = Event(sim)
-        done.callbacks.append(
-            lambda _ev: self.pdes.export_ack(msg.msg_id, sim.now))
-
-        def arrive(_ev: Optional[Event]) -> None:
-            self._deposit_complete(msg, done)
-
-        def finish() -> None:
-            # Same deferred dispatch as _fast_wan's finish (see there).
-            if sim.idle_at_now():
-                arrive(None)
-            else:
-                sim.after(0.0, arrive)
-
-        self._fast_gw_forward(
-            self.topo.cluster_of(msg.dst), msg.size, msg.msg_id,
-            lambda: self._fast_access_down(msg, finish))
-
-    def _pdes_legacy_tail(self, msg: Message) -> Generator:
-        """Remote half of :meth:`_deliver_wan` (via :meth:`_wan_leg`'s
-        remote gateway forward), then the delivery ack."""
-        gwp = self.params.gateway
-        fwd_cost = gwp.forward_cost + msg.size * gwp.per_byte_cost
-        dst_cluster = self.topo.cluster_of(msg.dst)
-        tr = self.tracer
-        t0 = self.sim.now
-        qd = yield self.sim.spawn(self._gw_execute(dst_cluster, fwd_cost))
-        if tr.enabled:
-            now = self.sim.now
-            tr.emit(now, "gw.forward", cluster=dst_cluster, size=msg.size,
-                    qdepth=qd, msg_id=msg.msg_id, t0=t0, dur=now - t0)
-        yield self.sim.spawn(self._access_leg_down(msg, msg.dst))
-        self._deposit(msg)
-        self.pdes.export_ack(msg.msg_id, self.sim.now)
         return msg
 
     def _deliver_multicast(self, src: int, cluster: int, size: int,

@@ -8,11 +8,10 @@ from typing import Any, Dict, Optional
 __all__ = ["Message", "reset_ids", "alloc_msg_id", "MSG_ID_STRIDE"]
 
 #: Message ids are allocated *per source node*: ``src * STRIDE + seq``.
-#: Ids stay unique and deterministic like the old global counter, but
-#: they no longer depend on how sends from *different* nodes interleave
-#: — which is exactly what a partitioned (PDES) run cannot reproduce.
-#: Each partition allocates the same per-site sequences the
-#: single-process oracle does, so merged traces join on identical ids.
+#: Ids stay unique and deterministic like a global counter, but they do
+#: not depend on how sends from *different* nodes interleave, and
+#: :func:`reset_ids` restarts them per run, so traces of repeat runs
+#: join on identical ids.
 MSG_ID_STRIDE = 1_000_000
 
 _site_seq: Dict[int, int] = {}

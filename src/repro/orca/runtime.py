@@ -34,8 +34,8 @@ RPC_PORT = "orca.rpc"
 GUARD_EVAL_COST = 1e-6
 
 #: Request ids are per *caller node* (``caller * STRIDE + seq``), like
-#: message ids — deterministic per site, so a partitioned (PDES) run
-#: allocates exactly the ids the single-process oracle does.
+#: message ids — deterministic per site and reset per run, so repeat
+#: runs allocate exactly the same ids.
 REQ_ID_STRIDE = 1_000_000
 
 _req_site_seq: Dict[int, int] = {}

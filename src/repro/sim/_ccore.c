@@ -1164,14 +1164,6 @@ Sim_idle_at_now(SimObject *self, PyObject *noargs)
 }
 
 static PyObject *
-Sim_next_time(SimObject *self, PyObject *noargs)
-{
-    if (self->hlen == 0)
-        Py_RETURN_NONE;
-    return PyFloat_FromDouble(self->ht[0]);
-}
-
-static PyObject *
 Sim_stats(SimObject *self, PyObject *noargs)
 {
     PyObject *d = PyDict_New();
@@ -1346,8 +1338,6 @@ static PyMethodDef Sim_methods[] = {
     {"_post", (PyCFunction)(void (*)(void))Sim_post,
      METH_VARARGS | METH_KEYWORDS,
      "Schedule a triggered event for dispatch delay seconds out."},
-    {"next_time", (PyCFunction)Sim_next_time, METH_NOARGS,
-     PyDoc_STR("Time of the earliest scheduled entry, or None.")},
     {"idle_at_now", (PyCFunction)Sim_idle_at_now, METH_NOARGS,
      "True when nothing further is scheduled at the current instant."},
     {"stats", (PyCFunction)Sim_stats, METH_NOARGS,

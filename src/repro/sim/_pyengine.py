@@ -381,16 +381,6 @@ class Simulator:
         heap = self._heap
         return not heap or heap[0][0] > self.now
 
-    def next_time(self) -> Optional[float]:
-        """Virtual time of the earliest scheduled entry, or ``None``.
-
-        A peek at the top of the event store — the PDES coordinator uses
-        it between epochs to size the next conservative window.  Both
-        tiers expose it.
-        """
-        heap = self._heap
-        return heap[0][0] if heap else None
-
     def stats(self) -> dict:
         """Dispatch and fast-path counters.
 

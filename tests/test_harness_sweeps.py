@@ -162,6 +162,41 @@ def test_cache_corrupt_entry_is_a_miss(tmp_path):
     _same_results([cache.get(key)], [result])
 
 
+# Bytes that exist on disk but do not unpickle: garbage, and a pickle
+# naming a module that no longer exists (ModuleNotFoundError).
+UNREADABLE = {"garbage": b"not a pickle",
+              "missing-module": b"\x80\x04crepro.nonexistent\nFoo\n."}
+
+
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+def test_unreadable_cache_entry_warns_recomputes_and_repairs(
+        tmp_path, capsys, kind):
+    cache = ResultCache(str(tmp_path))
+    spec = RunSpec("tsp", "original", 1, 2, small_params("tsp"))
+    path = cache._path(spec.key())
+    import os
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(UNREADABLE[kind])
+    runner = ParallelRunner(jobs=1, cache=cache)
+    result = runner.run_one(spec)
+    _same_results([result], [spec.execute()])
+    assert (runner.hits, runner.computed, cache.corrupt) == (0, 1, 1)
+    err = capsys.readouterr().err
+    assert err.count("unreadable cache entry") == 1 and path in err
+    # The recomputed result overwrote the entry: a second run hits.
+    again = ParallelRunner(jobs=1, cache=cache)
+    _same_results([again.run_one(spec)], [result])
+    assert (again.hits, again.computed, cache.corrupt) == (1, 0, 1)
+    assert capsys.readouterr().err == ""
+
+
+def test_missing_cache_entry_is_a_silent_miss(tmp_path, capsys):
+    cache = ResultCache(str(tmp_path / "never-created"))
+    assert cache.get("ab" * 32) is None
+    assert cache.corrupt == 0 and capsys.readouterr().err == ""
+
+
 def test_cache_clear(tmp_path):
     cache = ResultCache(str(tmp_path))
     spec = RunSpec("tsp", "original", 1, 2, small_params("tsp"))
@@ -200,32 +235,6 @@ def test_default_cache_dir_env(monkeypatch, tmp_path):
 
 
 # ------------------------------------------------------- traced sweeps
-
-
-def test_runner_pdes_default_mirrors_trace():
-    """A runner-level pdes mode applies to specs that don't pin one,
-    results stay bit-identical to the plain run, and consecutive grid
-    points of one topology reuse the forked partition pool."""
-    from repro.sim.pdes import coordinator, shutdown_pool
-
-    specs = [RunSpec("sor", variant, 2, 3, small_params("sor"))
-             for variant in ("original", "optimized")]
-    plain = ParallelRunner(jobs=1, cache=None).run(specs)
-    shutdown_pool()
-    try:
-        runner = ParallelRunner(jobs=1, cache=None, pdes="on",
-                                pdes_workers=2)
-        part = runner.run(specs)
-        _same_results(plain, part)
-        assert all(r.sim_stats["pdes_partitions"] == 2 for r in part)
-        pool = coordinator._POOL
-        assert pool is not None and pool.runs == len(specs)
-        # A spec that pins its own mode wins over the runner default.
-        pinned = runner.run([RunSpec("sor", "original", 2, 3,
-                                     small_params("sor"), pdes="off")])[0]
-        assert "pdes_partitions" not in pinned.sim_stats
-    finally:
-        shutdown_pool()
 
 
 def test_trace_spec_is_excluded_from_the_cache_key():

@@ -222,3 +222,63 @@ def test_negative_size_rejected():
 
     with pytest.raises(ValueError):
         sim.run_process(proc())
+
+
+def _striping_model(streams):
+    """A decision model that stripes every 2-cluster WAN send ``streams``
+    ways (the striped line is always cheaper)."""
+    from repro.tuner import ContextModel, DecisionModel, FittedLine
+
+    ctx = ContextModel(n_clusters=2, pb=FittedLine(0.0, 4e-6),
+                       bb=FittedLine(0.0, 2e-6), bb_threshold=1024.0,
+                       streams=((1, FittedLine(1.0, 0.0)),
+                                (streams, FittedLine(0.0, 0.0))))
+    return DecisionModel(contexts=((2, ctx),), source="test")
+
+
+# (fast_paths, stripes): the callback-chain leg, the generator leg, and
+# the striped generator leg a decision model selects.
+WAN_PATHS = {"chain": (True, 1), "generator": (False, 1),
+             "striped": (True, 4)}
+
+
+@pytest.mark.parametrize("path", sorted(WAN_PATHS))
+@pytest.mark.parametrize("size", [0, 64 * 1024])
+def test_send_and_wait_returns_at_wan_delivery_time(path, size):
+    """send_and_wait over a WAN pair returns exactly when an identical
+    send's delivery event fires and the message lands in the port."""
+    fast, stripes = WAN_PATHS[path]
+
+    def fabric():
+        sim = Simulator()
+        fab = Fabric(sim, uniform_clusters(2, 4), DAS_PARAMS,
+                     fast_paths=fast)
+        if stripes > 1:
+            fab.decision = _striping_model(stripes)
+        return sim, fab
+
+    sim, fab = fabric()
+
+    def waiter():
+        msg = yield from fab.send_and_wait(0, 4, size, port="d")
+        return sim.now, msg
+
+    waited_at, msg = sim.run_process(waiter())
+    assert (msg.src, msg.dst, msg.size) == (0, 4, size)
+    assert fab.meter.wan_messages == (stripes if size else 1)
+
+    sim, fab = fabric()
+    got = []
+
+    def receiver():
+        yield fab.nodes[4].port("d").get()
+        got.append(sim.now)
+
+    def sender():
+        done = yield from fab.send(0, 4, size, port="d")
+        yield done
+        return sim.now
+
+    sim.spawn(receiver())
+    delivered_at = sim.run_process(sender())
+    assert waited_at == delivered_at == got[0] > 0.0
