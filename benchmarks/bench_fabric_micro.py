@@ -1,17 +1,12 @@
 """Micro-benchmark for the fabric's message paths: messages per second.
 
 Measures *host* wall-clock throughput of whole message deliveries —
-self, LAN, WAN and multicast, uncontended and contended — in both fabric
-tiers: the default callback-chained fast paths and the legacy per-leg
-process trees (``fast_paths=False``).  The speedup column is the direct
-payoff of the event-minimizing paths; the golden equivalence suite
-guarantees the two tiers produce identical virtual-time results, so this
-ratio is pure host-side overhead reduction.
+self, LAN, WAN and multicast, uncontended and contended — on the
+fabric's callback-chained message path.
 
 Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_fabric_micro.py [--repeat 3]
-    PYTHONPATH=src python benchmarks/bench_fabric_micro.py --legacy
 
 or under pytest-benchmark along with the rest of the suite.  Results are
 persisted to ``benchmarks/out/bench_fabric_micro.txt``;
@@ -29,15 +24,15 @@ from repro.network import DAS_PARAMS, Fabric, uniform_clusters
 from repro.sim import Simulator
 
 
-def _mk(fast: bool, n_clusters: int = 2, per: int = 4):
+def _mk(n_clusters: int = 2, per: int = 4):
     sim = Simulator()
     topo = uniform_clusters(n_clusters, per)
-    return sim, Fabric(sim, topo, DAS_PARAMS, fast_paths=fast)
+    return sim, Fabric(sim, topo, DAS_PARAMS)
 
 
-def wl_self(fast: bool, n: int = 20_000) -> int:
+def wl_self(n: int = 20_000) -> int:
     """Loopback deliveries, one in flight at a time."""
-    sim, fab = _mk(fast)
+    sim, fab = _mk()
 
     def proc():
         for _ in range(n):
@@ -47,9 +42,9 @@ def wl_self(fast: bool, n: int = 20_000) -> int:
     return n
 
 
-def wl_lan(fast: bool, n: int = 20_000) -> int:
+def wl_lan(n: int = 20_000) -> int:
     """Uncontended LAN deliveries, one in flight at a time."""
-    sim, fab = _mk(fast)
+    sim, fab = _mk()
 
     def proc():
         for _ in range(n):
@@ -59,9 +54,9 @@ def wl_lan(fast: bool, n: int = 20_000) -> int:
     return n
 
 
-def wl_lan_contended(fast: bool, n: int = 5_000) -> int:
+def wl_lan_contended(n: int = 5_000) -> int:
     """Three senders hammering one LAN delivery port (lan_in queueing)."""
-    sim, fab = _mk(fast)
+    sim, fab = _mk()
 
     def worker(src):
         for _ in range(n):
@@ -73,9 +68,9 @@ def wl_lan_contended(fast: bool, n: int = 5_000) -> int:
     return 3 * n
 
 
-def wl_wan(fast: bool, n: int = 6_000) -> int:
+def wl_wan(n: int = 6_000) -> int:
     """Uncontended WAN deliveries, one in flight at a time."""
-    sim, fab = _mk(fast)
+    sim, fab = _mk()
 
     def proc():
         for _ in range(n):
@@ -85,9 +80,9 @@ def wl_wan(fast: bool, n: int = 6_000) -> int:
     return n
 
 
-def wl_wan_contended(fast: bool, n: int = 2_000) -> int:
+def wl_wan_contended(n: int = 2_000) -> int:
     """A whole cluster sending over one access link, gateway and PVC."""
-    sim, fab = _mk(fast)
+    sim, fab = _mk()
 
     def worker(src):
         for _ in range(n):
@@ -99,9 +94,9 @@ def wl_wan_contended(fast: bool, n: int = 2_000) -> int:
     return 4 * n
 
 
-def wl_multicast(fast: bool, n: int = 4_000) -> int:
+def wl_multicast(n: int = 4_000) -> int:
     """LAN hardware multicasts to a 4-node cluster (counted per delivery)."""
-    sim, fab = _mk(fast)
+    sim, fab = _mk()
 
     def proc():
         for _ in range(n):
@@ -112,9 +107,9 @@ def wl_multicast(fast: bool, n: int = 4_000) -> int:
     return 4 * n
 
 
-def wl_wan_multicast(fast: bool, n: int = 1_500) -> int:
+def wl_wan_multicast(n: int = 1_500) -> int:
     """WAN fan-out multicasts: PVC crossing + remote re-multicast."""
-    sim, fab = _mk(fast)
+    sim, fab = _mk()
 
     def proc():
         for _ in range(n):
@@ -135,35 +130,20 @@ WORKLOADS = [
     ("wan_multicast", wl_wan_multicast),
 ]
 
-MODES = (("fast", True), ("legacy", False))
-
-
-def run_suite(repeat: int = 3, modes=MODES):
+def run_suite(repeat: int = 3):
     """Return ``(text, data)``: a printable table and per-workload msgs/s."""
-    labels = [label for label, _fp in modes]
-    header = f"{'workload':>16}" + "".join(f" {l + ' msg/s':>14}"
-                                           for l in labels)
-    if len(labels) > 1:
-        header += f" {'speedup':>9}"
-    lines = ["fabric micro-benchmark: message delivery throughput", header]
+    lines = ["fabric micro-benchmark: message delivery throughput",
+             f"{'workload':>16} {'msg/s':>14}"]
     data = {}
     for name, fn in WORKLOADS:
-        entry = {}
-        for label, fp in modes:
-            best = float("inf")
-            msgs = 0
-            for _ in range(repeat):
-                t0 = time.perf_counter()
-                msgs = fn(fp)
-                dt = time.perf_counter() - t0
-                best = min(best, dt)
-            entry[label] = msgs / best
-        row = f"{name:>16}" + "".join(f" {entry[l]:>14.0f}" for l in labels)
-        if "fast" in entry and "legacy" in entry:
-            entry["speedup"] = entry["fast"] / entry["legacy"]
-            row += f" {entry['speedup']:>8.2f}x"
-        data[name] = entry
-        lines.append(row)
+        best = float("inf")
+        msgs = 0
+        for _ in range(repeat):
+            t0 = time.perf_counter()
+            msgs = fn()
+            best = min(best, time.perf_counter() - t0)
+        data[name] = {"msgs_per_s": msgs / best}
+        lines.append(f"{name:>16} {msgs / best:>14.0f}")
     return "\n".join(lines), data
 
 
@@ -179,17 +159,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=3,
                         help="repetitions per workload (best is reported)")
-    parser.add_argument("--legacy", action="store_true",
-                        help="measure only the legacy process paths")
-    parser.add_argument("--fast", action="store_true",
-                        help="measure only the fast callback paths")
     args = parser.parse_args(argv)
-    modes = MODES
-    if args.legacy:
-        modes = (("legacy", False),)
-    elif args.fast:
-        modes = (("fast", True),)
-    text, _data = run_suite(repeat=args.repeat, modes=modes)
+    text, _data = run_suite(repeat=args.repeat)
     print(text)
     return 0
 

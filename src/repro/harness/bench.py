@@ -8,9 +8,9 @@ repo commits four small JSON files at its root:
   section per engine tier (``python`` always; ``compiled`` when the
   optional C core builds — checking on a compiler-less machine skips
   the compiled section with a log line instead of failing)
-* ``BENCH_fabric.json`` — messages/s per fabric path (fast tier)
+* ``BENCH_fabric.json`` — messages/s per fabric path
 * ``BENCH_orca.json``   — broadcasts/RPCs/s per control-plane workload
-  (fast tier, micro) plus whole-app runs/s (macro)
+  (micro) plus whole-app runs/s (macro)
 * ``BENCH_collectives.json`` — collectives/s per tuner primitive (the
   shaped/striped WAN paths) plus the tuner probe loop
 
@@ -128,19 +128,18 @@ def measure_engine(repeat: int = 3) -> dict:
 
 
 def measure_fabric(repeat: int = 3) -> dict:
-    """Messages/s per fabric path, fast tier plus the fast/legacy ratio."""
+    """Messages/s per fabric path."""
     _import_benchmarks()
     from bench_fabric_micro import run_suite
 
     _text, data = run_suite(repeat=repeat)
-    return {name: {"msgs_per_s": round(entry["fast"]),
-                   "speedup_vs_legacy": round(entry["speedup"], 2)}
+    return {name: {"msgs_per_s": round(entry["msgs_per_s"])}
             for name, entry in data.items()}
 
 
 def measure_orca(repeat: int = 3) -> dict:
     """Orca control-plane throughput: micro (broadcasts/RPCs per second)
-    and macro (whole apps per second), fast tier plus fast/legacy ratio."""
+    and macro (whole apps per second)."""
     _import_benchmarks()
     from bench_orca_macro import run_suite as run_macro
     from bench_orca_micro import run_suite as run_micro
@@ -148,14 +147,11 @@ def measure_orca(repeat: int = 3) -> dict:
     results = {}
     _text, micro = run_micro(repeat=repeat)
     for name, entry in micro.items():
-        results[f"micro/{name}"] = {
-            "ops_per_s": round(entry["fast"]),
-            "speedup_vs_legacy": round(entry["speedup"], 2)}
+        results[f"micro/{name}"] = {"ops_per_s": round(entry["ops_per_s"])}
     _text, macro = run_macro(repeat=repeat)
     for name, entry in macro.items():
         results[f"macro/{name}"] = {
-            "ops_per_s": round(entry["fast"], 2),
-            "speedup_vs_legacy": round(entry["speedup"], 2)}
+            "ops_per_s": round(entry["ops_per_s"], 2)}
     return results
 
 

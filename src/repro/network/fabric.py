@@ -19,21 +19,22 @@ Send semantics: :meth:`Fabric.send` is a generator to be driven by the
 *calling* process — the caller pays the sender-side CPU overhead
 synchronously, then the rest of the path proceeds in the background.  It
 returns the delivery event, so callers can also wait for arrival.
+:meth:`Fabric.send_chain` is the same send for callers that are
+themselves callback chains; each generator entry point shares one
+cost-and-launch helper with its ``*_chain`` twin.
 
-Two implementations of every message path coexist (see
-``docs/ARCHITECTURE.md``, *The two-tier resource model*):
-
-* the default **fast path** drives each leg as a flat callback chain on
-  :meth:`Resource.occupy <repro.sim.Resource.occupy>` /
-  :meth:`CPU.execute_ev <repro.sim.CPU.execute_ev>` completion events —
-  an uncontended leg costs a single heap entry, no generator and no
-  :class:`~repro.sim.Process`;
-* the **legacy path** (``fast_paths=False``) is the original per-leg
-  process tree, kept as the executable reference for the determinism
-  contract: both tiers must produce bit-identical answers, virtual
-  times, traffic counters and (non-process) trace records.  The golden
-  equivalence suite in ``tests/test_fabric_fastpath_golden.py`` enforces
-  this for all eight applications.
+There is one message path (see ``docs/ARCHITECTURE.md``, *One message
+path and its dispatch-order contract*).  Every leg — LAN, WAN, the
+impaired and striped PVC stages, and the flat, chain and binomial
+fan-out trees — is a flat callback chain on :meth:`Resource.occupy
+<repro.sim.Resource.occupy>` / :meth:`CPU.execute_ev
+<repro.sim.CPU.execute_ev>` completion events: an uncontended leg at a
+quiet instant costs one heap entry per virtual-time advance, no
+generator and no :class:`~repro.sim.Process`.  At a busy instant each
+step defers through the heap at a fixed dispatch depth, so same-instant
+races linearize the same way on every run.  The committed digests in
+``tests/data/stack_golden.json`` pin the path's virtual times, answers,
+traffic counters and trace records.
 """
 
 from __future__ import annotations
@@ -87,29 +88,21 @@ class Fabric:
 
     def __init__(self, sim: Simulator, topo: Topology, params: NetworkParams,
                  meter: Optional[TrafficMeter] = None,
-                 tracer: Optional[Tracer] = None,
-                 fast_paths: bool = True):
+                 tracer: Optional[Tracer] = None):
         self.sim = sim
         self.topo = topo
         self.params = params
         self.meter = meter if meter is not None else TrafficMeter()
         self.tracer = tracer if tracer is not None else Tracer()
-        #: True: callback-chained legs (the default).  False: the
-        #: original per-leg process trees — the executable reference
-        #: implementation the golden equivalence suite compares against.
-        self.fast_paths = fast_paths
         #: Optional :class:`repro.scenario.apply.WanImpairments`.  When
-        #: installed, every WAN path routes through the legacy generator
-        #: leg (even on the fast tier) so the impairment RNG draws in
-        #: deterministic event order — determinism is then *per seed*,
-        #: not cross-tier (see docs/SCENARIOS.md).
+        #: installed, every WAN PVC transfer draws a perturbation plan
+        #: from it, in deterministic event order (see docs/SCENARIOS.md).
         self.impair = None
         #: Optional :class:`repro.tuner.DecisionModel`.  When installed,
         #: point-to-point WAN transfers consult it for a striping factor
-        #: (MPWide-style parallel streams); striped transfers route
-        #: through the legacy generator leg like impaired ones.  ``None``
-        #: (the default tier) means one stream — bit-identical to the
-        #: pre-tuner fabric.  See docs/TUNING.md.
+        #: (MPWide-style parallel streams).  ``None`` (the default)
+        #: means one stream — bit-identical to the pre-tuner fabric.
+        #: See docs/TUNING.md.
         self.decision = None
 
         self.nodes: List[Node] = [
@@ -127,7 +120,7 @@ class Fabric:
         #: Per-cluster LAN parameters: a cluster spec naming a ``link``
         #: class uses it, everyone else shares ``params.lan`` (the very
         #: same object, so homogeneous runs are bit-identical to the
-        #: pre-heterogeneity fabric).  Both tiers read this table.
+        #: pre-heterogeneity fabric).
         for spec in topo.clusters:
             if spec.link is not None and spec.link not in LINK_CLASSES:
                 raise ValueError(
@@ -174,42 +167,9 @@ class Fabric:
         :class:`Event` (fires with the :class:`Message` once deposited in
         the destination port).
         """
-        msg = Message(src=src, dst=dst, size=size, payload=payload,
-                      port=port, kind=kind, send_time=self.sim.now)
-        local = self.topo.same_cluster(src, dst)
-        tr = self.tracer
-        if tr.enabled:
-            scope = "self" if src == dst else ("lan" if local else "wan")
-            tr.emit(self.sim.now, "msg.send", msg_id=msg.msg_id, src=src,
-                    dst=dst, size=size, msg_kind=kind, port=port, scope=scope)
-        link = self._cluster_lan[self.nodes[src].cluster] if local \
-            else self.params.access
-        cost = link.o_send + size * link.per_byte_cpu
-        # Sender-side CPU overhead, paid synchronously by the caller.
-        if self.fast_paths:
-            yield self.nodes[src].cpu.execute_ev(cost)
-            if src == dst:
-                return self._fast_self(msg)
-            if local:
-                return self._fast_lan(msg)
-            streams = self._p2p_streams(size)
-            if self.impair is not None or streams > 1:
-                # Impaired or striped WAN: the legacy leg draws and pays
-                # the perturbations (and chunk legs) in deterministic
-                # event order.
-                return self.sim.spawn(self._deliver_wan(msg, streams),
-                                      name="wanmsg")
-            return self._fast_wan(msg)
-        yield self.sim.spawn(self.nodes[src].cpu.execute(cost))
-        if src == dst:
-            done = self.sim.spawn(self._deliver_self(msg), name="selfmsg")
-        elif local:
-            done = self.sim.spawn(self._deliver_lan(msg), name="lanmsg")
-        else:
-            done = self.sim.spawn(
-                self._deliver_wan(msg, self._p2p_streams(size)),
-                name="wanmsg")
-        return done
+        charged, launch = self._send_leg(src, dst, size, payload, port, kind)
+        yield charged
+        return launch()
 
     def send_and_wait(self, src: int, dst: int, size: int, payload: Any = None,
                       port: str = "default", kind: str = "msg") -> Generator:
@@ -226,44 +186,24 @@ class Fabric:
         Caller pays sender overhead; returns an event firing when *all*
         receivers have the message.
         """
-        lan = self._cluster_lan[self.nodes[src].cluster]
-        cost = lan.o_send + self.params.bcast_extra + size * lan.per_byte_cpu
-        if self.fast_paths:
-            yield self.nodes[src].cpu.execute_ev(cost)
-            return self._fast_multicast(src, self.topo.cluster_of(src), size,
-                                        payload, port, kind, include_self)
-        yield self.sim.spawn(self.nodes[src].cpu.execute(cost))
-        done = self.sim.spawn(
-            self._deliver_multicast(src, self.topo.cluster_of(src), size,
-                                    payload, port, kind, include_self),
-            name="mcast")
-        return done
+        charged, launch = self._multicast_leg(src, size, payload, port, kind,
+                                              include_self)
+        yield charged
+        return launch()
 
     def gateway_multicast(self, src: int, dst_cluster: int, size: int,
                           payload: Any = None, port: str = "default",
                           kind: str = "msg") -> Generator:
         """Send over the WAN to ``dst_cluster``'s gateway, which re-multicasts
-        to every node of that cluster (how Orca broadcasts cross the WAN)."""
+        to every node of that cluster: a fan-out to that one cluster,
+        striped like a point-to-point transfer."""
         if self.topo.cluster_of(src) == dst_cluster:
             raise ValueError("gateway_multicast targets a *remote* cluster")
-        access = self.params.access
-        cost = access.o_send + size * access.per_byte_cpu
-        streams = self._p2p_streams(size)
-        if self.fast_paths:
-            yield self.nodes[src].cpu.execute_ev(cost)
-            if self.impair is not None or streams > 1:
-                return self.sim.spawn(
-                    self._deliver_wan_multicast(src, dst_cluster, size,
-                                                payload, port, kind, streams),
-                    name="wanmcast")
-            return self._fast_wan_multicast(src, dst_cluster, size, payload,
-                                            port, kind)
-        yield self.sim.spawn(self.nodes[src].cpu.execute(cost))
-        done = self.sim.spawn(
-            self._deliver_wan_multicast(src, dst_cluster, size, payload,
-                                        port, kind, streams),
-            name="wanmcast")
-        return done
+        charged, launch = self._fanout_leg(
+            src, [dst_cluster], size, payload, port, kind, "flat",
+            self._p2p_streams(size))
+        yield charged
+        return launch()
 
     def wan_fanout_multicast(self, src: int, size: int, payload: Any = None,
                              port: str = "default", kind: str = "msg",
@@ -281,44 +221,23 @@ class Fabric:
         each cluster forwarding to the next while its local multicast
         proceeds; ``binomial``: recursive halving over the gateways).
         ``streams`` stripes each WAN transfer over that many parallel
-        chunks.  Non-default shapes/streams run on the legacy generator
-        legs even on the fast tier — the defaults are bit-identical to
-        the pre-tuner fabric."""
-        src_cluster = self.topo.cluster_of(src)
-        remote = [c for c in range(self.topo.n_clusters) if c != src_cluster]
+        chunks."""
+        remote = self._remote_clusters(src)
         if not remote:
             done = Event(self.sim)
             done.succeed(0)
             return done
-        access = self.params.access
-        cost = access.o_send + size * access.per_byte_cpu
-        if self.fast_paths:
-            yield self.nodes[src].cpu.execute_ev(cost)
-            if self.impair is not None or shape != "flat" or streams > 1:
-                return self.sim.spawn(
-                    self._deliver_wan_fanout(src, src_cluster, remote, size,
-                                             payload, port, kind, shape,
-                                             streams),
-                    name="wanfanout")
-            return self._fast_wan_fanout(src, src_cluster, remote, size,
-                                         payload, port, kind)
-        yield self.sim.spawn(self.nodes[src].cpu.execute(cost))
-        done = self.sim.spawn(
-            self._deliver_wan_fanout(src, src_cluster, remote, size, payload,
-                                     port, kind, shape, streams),
-            name="wanfanout")
-        return done
+        charged, launch = self._fanout_leg(src, remote, size, payload, port,
+                                           kind, shape, streams)
+        yield charged
+        return launch()
 
     # ----------------------------------------------- chain-style entry points
     #
-    # Non-generator counterparts of send / multicast_local /
-    # wan_fanout_multicast for callers that are themselves callback
-    # chains (the Orca runtime's fast tier).  They charge the
-    # sender-side CPU exactly like the generator APIs, then launch the
-    # same fast delivery legs; ``then`` runs where a process driving
-    # the generator would resume.  Only meaningful on the fast tier —
-    # the Orca runtime refuses to combine its fast paths with a
-    # legacy-tier fabric.
+    # Non-generator twins of send / multicast_local / wan_fanout_multicast
+    # for callers that are themselves callback chains (the Orca runtime).
+    # Each shares its cost-and-launch helper with the generator API;
+    # ``then`` runs where a process driving the generator would resume.
 
     def send_chain(self, src: int, dst: int, size: int, payload: Any = None,
                    port: str = "default", kind: str = "msg",
@@ -327,34 +246,8 @@ class Fabric:
         launch the delivery legs.  ``then(done)`` — if given — receives
         the delivery event once the sender-side overhead is paid, the
         point a driving process resumes at."""
-        msg = Message(src=src, dst=dst, size=size, payload=payload,
-                      port=port, kind=kind, send_time=self.sim.now)
-        local = self.topo.same_cluster(src, dst)
-        tr = self.tracer
-        if tr.enabled:
-            scope = "self" if src == dst else ("lan" if local else "wan")
-            tr.emit(self.sim.now, "msg.send", msg_id=msg.msg_id, src=src,
-                    dst=dst, size=size, msg_kind=kind, port=port, scope=scope)
-        link = self._cluster_lan[self.nodes[src].cluster] if local \
-            else self.params.access
-        cost = link.o_send + size * link.per_byte_cpu
-
-        def _launch(_ev: Event) -> None:
-            if src == dst:
-                done = self._fast_self(msg)
-            elif local:
-                done = self._fast_lan(msg)
-            else:
-                streams = self._p2p_streams(size)
-                if self.impair is not None or streams > 1:
-                    done = self.sim.spawn(self._deliver_wan(msg, streams),
-                                          name="wanmsg")
-                else:
-                    done = self._fast_wan(msg)
-            if then is not None:
-                then(done)
-
-        self.nodes[src].cpu.execute_ev(cost).callbacks.append(_launch)
+        _launch_after(*self._send_leg(src, dst, size, payload, port, kind),
+                      then)
 
     def multicast_local_chain(self, src: int, size: int, payload: Any = None,
                               port: str = "default", kind: str = "msg",
@@ -364,17 +257,8 @@ class Fabric:
         """:meth:`multicast_local` as a callback chain (see
         :meth:`send_chain`); ``then(done)`` receives the all-delivered
         event."""
-        cluster = self.topo.cluster_of(src)
-        lan = self._cluster_lan[cluster]
-        cost = lan.o_send + self.params.bcast_extra + size * lan.per_byte_cpu
-
-        def _launch(_ev: Event) -> None:
-            done = self._fast_multicast(src, cluster, size, payload, port,
-                                        kind, include_self)
-            if then is not None:
-                then(done)
-
-        self.nodes[src].cpu.execute_ev(cost).callbacks.append(_launch)
+        _launch_after(*self._multicast_leg(src, size, payload, port, kind,
+                                           include_self), then)
 
     def wan_fanout_multicast_chain(self, src: int, size: int,
                                    payload: Any = None,
@@ -386,52 +270,92 @@ class Fabric:
         :meth:`send_chain`).  With no remote clusters ``then(None)``
         runs synchronously — no event is created, so a quiet instant
         stays quiet."""
-        src_cluster = self.topo.cluster_of(src)
-        remote = [c for c in range(self.topo.n_clusters) if c != src_cluster]
+        remote = self._remote_clusters(src)
         if not remote:
             if then is not None:
                 then(None)
             return
-        access = self.params.access
-        cost = access.o_send + size * access.per_byte_cpu
+        _launch_after(*self._fanout_leg(src, remote, size, payload, port,
+                                        kind, shape, streams), then)
 
-        def _launch(_ev: Event) -> None:
-            if self.impair is not None or shape != "flat" or streams > 1:
-                done = self.sim.spawn(
-                    self._deliver_wan_fanout(src, src_cluster, remote, size,
-                                             payload, port, kind, shape,
-                                             streams),
-                    name="wanfanout")
-            else:
-                done = self._fast_wan_fanout(src, src_cluster, remote, size,
-                                             payload, port, kind)
-            if then is not None:
-                then(done)
-
-        self.nodes[src].cpu.execute_ev(cost).callbacks.append(_launch)
-
-    # ------------------------------------------------- fast callback chains
+    # ------------------------------------------------- cost-and-launch helpers
     #
-    # Each _fast_* builds the whole leg chain synchronously and returns
-    # (or drives) completion events; the only heap entries are the
-    # timeouts that genuinely advance virtual time.  Every trace emit
-    # and TrafficMeter call happens at the same virtual time, with the
-    # same fields, as on the legacy process path below.
+    # Each charges the sender-side CPU overhead now and returns the
+    # charge's completion event plus the launch of the delivery legs,
+    # which the entry point calls once the charge completes.
 
-    def _occupy_ev(self, res: Resource, seconds: float, cls: str = "",
-                   size: int = 0, msg_id: int = -1) -> Event:
+    def _send_leg(self, src: int, dst: int, size: int, payload: Any,
+                  port: str, kind: str) -> Tuple[Event, Callable[[], Event]]:
+        msg = Message(src=src, dst=dst, size=size, payload=payload,
+                      port=port, kind=kind, send_time=self.sim.now)
+        local = self.topo.same_cluster(src, dst)
+        tr = self.tracer
+        if tr.enabled:
+            scope = "self" if src == dst else ("lan" if local else "wan")
+            tr.emit(self.sim.now, "msg.send", msg_id=msg.msg_id, src=src,
+                    dst=dst, size=size, msg_kind=kind, port=port, scope=scope)
+        link = self._cluster_lan[self.nodes[src].cluster] if local \
+            else self.params.access
+        charged = self.nodes[src].cpu.execute_ev(
+            link.o_send + size * link.per_byte_cpu)
+        if src == dst:
+            return charged, lambda: self._deliver_self(msg)
+        if local:
+            return charged, lambda: self._deliver_lan(msg)
+        return charged, lambda: self._deliver_wan(msg,
+                                                  self._p2p_streams(size))
+
+    def _multicast_leg(self, src: int, size: int, payload: Any, port: str,
+                       kind: str, include_self: bool
+                       ) -> Tuple[Event, Callable[[], Event]]:
+        cluster = self.nodes[src].cluster
+        lan = self._cluster_lan[cluster]
+        charged = self.nodes[src].cpu.execute_ev(
+            lan.o_send + self.params.bcast_extra + size * lan.per_byte_cpu)
+        return charged, lambda: self._deliver_multicast(
+            src, cluster, size, payload, port, kind, include_self)
+
+    def _fanout_leg(self, src: int, remote: List[int], size: int,
+                    payload: Any, port: str, kind: str, shape: str,
+                    streams: int) -> Tuple[Event, Callable[[], Event]]:
+        access = self.params.access
+        charged = self.nodes[src].cpu.execute_ev(
+            access.o_send + size * access.per_byte_cpu)
+        return charged, lambda: self._deliver_fanout(
+            src, self.nodes[src].cluster, remote, size, payload, port, kind,
+            shape, streams)
+
+    def _remote_clusters(self, src: int) -> List[int]:
+        src_cluster = self.nodes[src].cluster
+        return [c for c in range(self.topo.n_clusters) if c != src_cluster]
+
+    # ------------------------------------------------------------- the legs
+    #
+    # Each leg builds its callback chain synchronously and returns (or
+    # drives) completion events; an uncontended leg at a quiet instant
+    # costs only the timeouts that advance virtual time.  The
+    # dispatch-order contract (docs/ARCHITECTURE.md): at a busy instant
+    # every step defers through the heap at a fixed depth — one
+    # dispatch per request, per grant, per completion, fixed counts at
+    # joins — so same-instant races linearize the same way on every run.
+
+    def _occupy(self, res: Resource, seconds: float, cls: str = "",
+                size: int = 0, msg_id: int = -1) -> Event:
         """Hold ``res`` for ``seconds``; completion event, one ``link.busy``.
 
-        The callback-chained counterpart of :meth:`_occupy`: uncontended
-        occupancies at a quiet instant grant synchronously and schedule
-        one analytic timeout; when other events are pending at the
-        current instant the request/grant go through the heap at legacy
-        dispatch depths (see :meth:`Resource.occupy
-        <repro.sim.Resource.occupy>`), so same-instant races linearize
-        identically in both tiers.  The completion event is posted
-        after the release and trace emit, so chained continuations run
-        at the same dispatch position the legacy occupy *process*
-        resumed its parent leg at.
+        ``cls``/``size``/``msg_id`` only label the trace record (see
+        :func:`repro.obs.schema.classify_link` for the class names;
+        ``msg_id`` joins the span into the causal chains of
+        :mod:`repro.obs.chains`, -1 when the occupancy is shared between
+        several deliveries); with tracing disabled they cost nothing.
+
+        Uncontended occupancies at a quiet instant grant synchronously
+        and schedule one analytic timeout; when other events are pending
+        at the current instant the request is deferred one dispatch and
+        the grant one more (see :meth:`Resource.occupy
+        <repro.sim.Resource.occupy>`).  The completion event is posted
+        after the release and trace emit, so a chained continuation runs
+        one dispatch after the hold ends.
         """
         sim = self.sim
         done = Event(sim)
@@ -459,7 +383,7 @@ class Fabric:
             return done
 
         # Busy instant: request one dispatch later; request() posts the
-        # grant, putting the hold two dispatches out — legacy parity.
+        # grant, putting the hold two dispatches out.
         sim._n_fallback += 1
         sim.after(0.0, lambda _ev: res.request().callbacks.append(_granted))
         return done
@@ -487,45 +411,53 @@ class Fabric:
         else:
             done.succeed(msg)
 
-    def _fast_self(self, msg: Message) -> Event:
+    def _defer(self, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` one dispatch out, or inline at a quiet instant
+        where nothing can race it."""
+        sim = self.sim
+        if sim.idle_at_now():
+            fn()
+        else:
+            sim.after_call(0.0, fn)
+
+    def _deliver_self(self, msg: Message) -> Event:
         # Loopback: negligible wire, small fixed cost — one timeout.
         done = Event(self.sim)
         self.sim.after(1e-6,
                        lambda _ev: self._deposit_complete(msg, done))
         return done
 
-    def _fast_lan(self, msg: Message) -> Event:
-        # Cut-through: injection and delivery ports overlap (see
-        # _deliver_lan); the two legs join on a countdown.
+    def _deliver_lan(self, msg: Message) -> Event:
+        # Cut-through: the injection port and the delivery port are each
+        # occupied for one serialization time, but they overlap (the
+        # switch forwards as bytes arrive), so an uncontended transfer
+        # takes latency + size/bw, while endpoint contention still
+        # serializes.  The two legs join on a countdown.
         lan = self._cluster_lan[self.nodes[msg.src].cluster]
         tx = msg.size / lan.bandwidth
         sim = self.sim
         done = Event(sim)
         pending = [2]
 
-        def arrive(_ev: Event) -> None:
-            self._deposit_complete(msg, done)
-
         def leg_done(_ev: Event) -> None:
             pending[0] -= 1
             if not pending[0]:
-                # Two deferred dispatches before the deposit, mirroring
-                # the legacy join (leg completion -> AllOf -> deliver
-                # process): deposits keep their relative dispatch depth
-                # — multicast, then WAN, then LAN — when arrivals on
-                # different path shapes land at the same instant.
-                # Elided at a quiet instant (nothing to race).
+                # Two dispatches (leg completion, then the join) keep
+                # deposits at their relative depth — multicast, then
+                # WAN, then LAN — when arrivals on different path
+                # shapes land at the same instant.
                 if sim.idle_at_now():
-                    arrive(_ev)
+                    self._deposit_complete(msg, done)
                 else:
-                    sim.after(0.0, lambda _e: sim.after(0.0, arrive))
+                    sim.after_call(0.0, lambda: self._defer(
+                        lambda: self._deposit_complete(msg, done)))
 
-        self._occupy_ev(self._lan_out[msg.src], tx, "lan_out", msg.size,
-                        msg.msg_id).callbacks.append(leg_done)
+        self._occupy(self._lan_out[msg.src], tx, "lan_out", msg.size,
+                     msg.msg_id).callbacks.append(leg_done)
 
         def start_in(_ev: Event) -> None:
-            occ = self._occupy_ev(self._lan_in[msg.dst], tx, "lan_in",
-                                  msg.size, msg.msg_id)
+            occ = self._occupy(self._lan_in[msg.dst], tx, "lan_in",
+                               msg.size, msg.msg_id)
             occ.callbacks.append(
                 lambda _ev2: self.nodes[msg.dst].cpu.execute_ev(
                     lan.o_recv + msg.size * lan.per_byte_cpu
@@ -534,23 +466,28 @@ class Fabric:
         sim.after(lan.latency, start_in)
         return done
 
-    def _fast_access_up(self, size: int, src_cluster: int, msg_id: int,
-                        then: Callable[[], None]) -> None:
-        """Node -> local gateway over the shared access link."""
+    def _access_up(self, size: int, src_cluster: int, msg_id: int,
+                   then: Callable[[], None]) -> None:
+        """Node -> local gateway over the shared access link.
+
+        Takes ``(size, src_cluster)`` directly — fan-out paths share one
+        access-link trip among many deliveries and must not fabricate a
+        :class:`Message` (which would burn a ``msg_id`` and skew the
+        run-local id-reset determinism guarantees) just to ride the leg.
+        """
         access = self.params.access
-        occ = self._occupy_ev(self._gw_access[src_cluster],
-                              size / access.bandwidth, "access", size, msg_id)
+        occ = self._occupy(self._gw_access[src_cluster],
+                           size / access.bandwidth, "access", size, msg_id)
         occ.callbacks.append(
             lambda _ev: self.sim.after(access.latency, lambda _ev2: then()))
 
-    def _fast_access_down(self, msg: Message,
-                          then: Callable[[], None]) -> None:
+    def _access_down(self, msg: Message, then: Callable[[], None]) -> None:
         """Remote gateway -> destination node."""
         access = self.params.access
         dst = msg.dst
-        occ = self._occupy_ev(self._gw_access[self.topo.cluster_of(dst)],
-                              msg.size / access.bandwidth, "access",
-                              msg.size, msg.msg_id)
+        occ = self._occupy(self._gw_access[self.nodes[dst].cluster],
+                           msg.size / access.bandwidth, "access",
+                           msg.size, msg.msg_id)
 
         def after_occ(_ev: Event) -> None:
             def after_lat(_ev2: Event) -> None:
@@ -562,17 +499,15 @@ class Fabric:
 
         occ.callbacks.append(after_occ)
 
-    def _fast_gw_forward(self, cluster: int, msg_size: int, msg_id: int,
-                         then: Callable[[], None]) -> None:
+    def _gw_forward(self, cluster: int, msg_size: int, msg_id: int,
+                    then: Callable[[], None]) -> None:
         """Store-and-forward charge on one gateway CPU; one ``gw.forward``.
 
         The queue-depth sample is atomic with the request — the queue
         this forward actually joins, counting itself — and at a busy
         instant the request is deferred one dispatch (the grant one
-        more), matching the spawn-deferred legacy :meth:`_gw_execute`
-        so same-instant forwards sample and schedule identically.
-        ``then()`` runs one dispatch after the charge completes, the
-        position the legacy ``_wan_leg`` process resumed at.
+        more), so same-instant forwards sample and schedule in order.
+        ``then()`` runs one dispatch after the charge completes.
         """
         sim = self.sim
         gw = self.gateways[cluster].cpu
@@ -622,69 +557,127 @@ class Fabric:
 
         sim.after(0.0, request_step)
 
-    def _fast_wan_leg(self, msg_size: int, src_cluster: int, dst_cluster: int,
-                      msg_id: int, then: Callable[[], None]) -> None:
-        """Gateway -> WAN PVC -> remote gateway (shared by all WAN paths)."""
-        wan = self.params.wan
+    def _wan_leg(self, msg_size: int, src_cluster: int, dst_cluster: int,
+                 msg_id: int, streams: int, then: Callable[[], None]) -> None:
+        """Gateway -> WAN PVC -> remote gateway (shared by all WAN paths).
+
+        ``msg_id`` labels the trace records with the point-to-point
+        message this leg serves; fan-out paths that share one leg among
+        many deliveries pass -1.  ``streams`` > 1 stripes the PVC stage
+        over that many parallel chunk transfers (MPWide-style): chunks
+        still serialize on the capacity-1 PVC, but their latencies and —
+        under loss impairment — retransmit timeouts overlap.  The
+        gateway forwards bracket the whole transfer either way.
+        """
         sim = self.sim
-        tr = self.tracer
+
+        def forward() -> None:
+            self._gw_forward(dst_cluster, msg_size, msg_id, then)
 
         def after_fwd() -> None:
-            # PVC serializes transmissions; latency is pipeline delay.
-            tx = msg_size / wan.bandwidth
-            t1 = sim.now
-            occ = self._occupy_ev(self._wan[(src_cluster, dst_cluster)],
-                                  tx, "wan", msg_size, msg_id)
+            k = max(1, min(streams, msg_size))
+            if k == 1:
+                self._pvc_stage(msg_size, src_cluster, dst_cluster, msg_id,
+                                forward)
+                return
+            # Striped: near-equal chunks, each drawing its own impairment
+            # plan, all in flight at once; the remote forward joins them.
+            base, rem = divmod(msg_size, k)
+            chunks = [base + 1] * rem + [base] * (k - rem)
+            pending = [k]
 
-            def after_occ(_ev2: Event) -> None:
-                self.meter.record_wan(msg_size)
+            def chunk_done() -> None:
+                pending[0] -= 1
+                if not pending[0]:
+                    self._defer(forward)
 
-                def after_lat(_ev3: Event) -> None:
-                    if tr.enabled:
-                        now = sim.now
-                        tr.emit(now, "wan.xfer", src_cluster=src_cluster,
-                                dst_cluster=dst_cluster, size=msg_size,
-                                tx=tx, msg_id=msg_id, t0=t1, dur=now - t1)
-                    self._fast_gw_forward(dst_cluster, msg_size, msg_id, then)
+            if sim.idle_at_now():
+                for chunk in chunks:
+                    self._pvc_stage(chunk, src_cluster, dst_cluster, msg_id,
+                                    chunk_done)
+            else:
+                # Busy instant: each chunk starts one dispatch out.
+                sim._n_fallback += 1
+                for chunk in chunks:
+                    sim.after_call(0.0, lambda c=chunk: self._pvc_stage(
+                        c, src_cluster, dst_cluster, msg_id, chunk_done))
 
-                sim.after(wan.latency, after_lat)
+        self._gw_forward(src_cluster, msg_size, msg_id, after_fwd)
 
-            occ.callbacks.append(after_occ)
+    def _pvc_stage(self, size: int, src_cluster: int, dst_cluster: int,
+                   msg_id: int, then: Callable[[], None]) -> None:
+        """One transfer (or striped chunk) on the directed PVC; one
+        ``wan.xfer``.  An installed impairment draws its plan here."""
+        wan = self.params.wan
+        tx, latency, retries, rto = size / wan.bandwidth, wan.latency, 0, 0.0
+        if self.impair is not None:
+            plan = self.impair.plan(src_cluster, dst_cluster, size, tx,
+                                    latency, msg_id)
+            tx, latency = plan.tx, plan.latency
+            retries, rto = plan.retries, plan.rto
+        self._transmit((src_cluster, dst_cluster), size, msg_id, tx, latency,
+                       retries, rto, then)
 
-        self._fast_gw_forward(src_cluster, msg_size, msg_id, after_fwd)
-
-    def _fast_wan(self, msg: Message) -> Event:
+    def _transmit(self, pair: Tuple[int, int], size: int, msg_id: int,
+                  tx: float, latency: float, retries: int, rto: float,
+                  then: Callable[[], None]) -> None:
+        """The PVC serializes transmissions; latency is pipeline delay.
+        Each of ``retries`` lost transmissions pays a full serialization
+        plus the retransmit timeout before the copy that gets through.
+        This and the tree walks below are methods, not self-referencing
+        closures, whose cycles would keep payloads alive until the
+        cyclic collector runs."""
         sim = self.sim
-        done = Event(sim)
-        src_cluster = self.topo.cluster_of(msg.src)
-        dst_cluster = self.topo.cluster_of(msg.dst)
+        pvc = self._wan[pair]
+        if retries:
+            self._occupy(pvc, tx, "wan", size, msg_id).callbacks.append(
+                lambda _ev: sim.after(rto, lambda _ev2: self._transmit(
+                    pair, size, msg_id, tx, latency, retries - 1, rto,
+                    then)))
+            return
+        t0 = sim.now
 
-        def arrive(_ev: Event) -> None:
-            self._deposit_complete(msg, done)
+        def after_occ(_ev: Event) -> None:
+            self.meter.record_wan(size)
+
+            def after_lat(_ev2: Event) -> None:
+                tr = self.tracer
+                if tr.enabled:
+                    now = sim.now
+                    tr.emit(now, "wan.xfer", src_cluster=pair[0],
+                            dst_cluster=pair[1], size=size, tx=tx,
+                            msg_id=msg_id, t0=t0, dur=now - t0)
+                then()
+
+            sim.after(latency, after_lat)
+
+        self._occupy(pvc, tx, "wan", size, msg_id).callbacks.append(after_occ)
+
+    def _deliver_wan(self, msg: Message, streams: int) -> Event:
+        done = Event(self.sim)
+        src_cluster = self.nodes[msg.src].cluster
+        dst_cluster = self.nodes[msg.dst].cluster
 
         def finish() -> None:
-            # One deferred dispatch (access-leg completion on the
-            # legacy path) so WAN deposits stay one dispatch shallower
-            # than LAN deposits — see _fast_lan.  Elided when quiet.
-            if sim.idle_at_now():
-                arrive(None)
-            else:
-                sim.after(0.0, arrive)
+            # One dispatch (the access leg's completion) keeps WAN
+            # deposits one dispatch shallower than LAN deposits — see
+            # _deliver_lan.
+            self._defer(lambda: self._deposit_complete(msg, done))
 
-        self._fast_access_up(
+        self._access_up(
             msg.size, src_cluster, msg.msg_id,
-            lambda: self._fast_wan_leg(
-                msg.size, src_cluster, dst_cluster, msg.msg_id,
-                lambda: self._fast_access_down(msg, finish)))
+            lambda: self._wan_leg(
+                msg.size, src_cluster, dst_cluster, msg.msg_id, streams,
+                lambda: self._access_down(msg, finish)))
         return done
 
-    def _fast_multicast_recv(self, msg: Message, tx: float,
-                             then: Callable[[Event], None]) -> None:
+    def _multicast_recv(self, msg: Message, tx: float,
+                        then: Callable[[Event], None]) -> None:
         lan = self._cluster_lan[self.nodes[msg.dst].cluster]
 
         def after_lat(_ev: Event) -> None:
-            occ = self._occupy_ev(self._lan_in[msg.dst], tx, "lan_in",
-                                  msg.size, msg.msg_id)
+            occ = self._occupy(self._lan_in[msg.dst], tx, "lan_in",
+                               msg.size, msg.msg_id)
 
             def after_occ(_ev2: Event) -> None:
                 cpu = self.nodes[msg.dst].cpu.execute_ev(
@@ -700,8 +693,9 @@ class Fabric:
 
         self.sim.after(lan.latency, after_lat)
 
-    def _fast_multicast(self, src: int, cluster: int, size: int, payload: Any,
-                        port: str, kind: str, include_self: bool) -> Event:
+    def _deliver_multicast(self, src: int, cluster: int, size: int,
+                           payload: Any, port: str, kind: str,
+                           include_self: bool) -> Event:
         lan = self._cluster_lan[cluster]
         tx = size / lan.bandwidth
         sim = self.sim
@@ -717,17 +711,17 @@ class Fabric:
                 done.succeed(n)
 
         # Injection overlaps delivery (spanning-tree forwarding in the NIC).
-        self._occupy_ev(self._lan_out[src], tx, "lan_out",
-                        size).callbacks.append(leg_done)
+        self._occupy(self._lan_out[src], tx, "lan_out",
+                     size).callbacks.append(leg_done)
         for dst in dsts:
             msg = Message(src=src, dst=dst, size=size, payload=payload,
                           port=port, kind=kind, send_time=sim.now)
-            self._fast_multicast_recv(msg, tx, leg_done)
+            self._multicast_recv(msg, tx, leg_done)
         return done
 
-    def _fast_remote_gw_multicast(self, src: int, dst_cluster: int, size: int,
-                                  payload: Any, port: str, kind: str,
-                                  then: Callable[[int], None]) -> None:
+    def _remote_gw_multicast(self, src: int, dst_cluster: int, size: int,
+                             payload: Any, port: str, kind: str,
+                             then: Callable[[int], None]) -> None:
         """Re-inject a WAN arrival as a local multicast in ``dst_cluster``."""
         lan = self._cluster_lan[dst_cluster]
         gw = self.gateways[dst_cluster]
@@ -749,402 +743,77 @@ class Fabric:
             for dst in dsts:
                 msg = Message(src=src, dst=dst, size=size, payload=payload,
                               port=port, kind=kind, send_time=self.sim.now)
-                self._fast_multicast_recv(msg, tx, recv_done)
+                self._multicast_recv(msg, tx, recv_done)
 
         cpu.callbacks.append(after_cpu)
 
-    def _fast_wan_fanout(self, src: int, src_cluster: int, remote: List[int],
-                         size: int, payload: Any, port: str,
-                         kind: str) -> Event:
+    def _deliver_fanout(self, src: int, src_cluster: int, remote: List[int],
+                        size: int, payload: Any, port: str, kind: str,
+                        shape: str, streams: int) -> Event:
+        """One access-link trip, then the ``shape`` tree (see
+        :meth:`wan_fanout_multicast`) over the remote gateways; each
+        reached gateway re-multicasts locally.  The event fires with the
+        number of deliveries once every remote multicast is done."""
         done = Event(self.sim)
-        total = [0, len(remote)]
-
-        def leg_done(n: int) -> None:
-            total[0] += n
-            total[1] -= 1
-            if not total[1]:
-                done.succeed(total[0])
-
-        def after_up() -> None:
-            for c in remote:
-                self._fast_wan_leg(
-                    size, src_cluster, c, -1,
-                    lambda c=c: self._fast_remote_gw_multicast(
-                        src, c, size, payload, port, kind, leg_done))
-
-        self._fast_access_up(size, src_cluster, -1, after_up)
-        return done
-
-    def _fast_wan_multicast(self, src: int, dst_cluster: int, size: int,
-                            payload: Any, port: str, kind: str) -> Event:
-        done = Event(self.sim)
-        src_cluster = self.topo.cluster_of(src)
-
-        def after_up() -> None:
-            self._fast_wan_leg(
-                size, src_cluster, dst_cluster, -1,
-                lambda: self._fast_remote_gw_multicast(
-                    src, dst_cluster, size, payload, port, kind,
-                    done.succeed))
-
-        self._fast_access_up(size, src_cluster, -1, after_up)
-        return done
-
-    # ------------------------------------------- legacy path processes
-    #
-    # The original per-leg process trees, selected by ``fast_paths=
-    # False``.  They are the reference implementation of the fabric's
-    # timing semantics: the golden equivalence suite runs every app in
-    # both modes and requires identical results and traces.
-
-    def _occupy(self, res: Resource, seconds: float, cls: str = "",
-                size: int = 0, msg_id: int = -1) -> Generator:
-        """Hold ``res`` for ``seconds``; traced as one ``link.busy`` span.
-
-        ``cls``/``size``/``msg_id`` only label the trace record (see
-        :func:`repro.obs.schema.classify_link` for the class names;
-        ``msg_id`` joins the span into the causal chains of
-        :mod:`repro.obs.chains`, -1 when the occupancy is shared between
-        several deliveries); with tracing disabled they cost nothing.
-        """
-        t_req = self.sim.now
-        yield res.request()
-        t0 = self.sim.now
-        try:
-            if seconds > 0:
-                yield self.sim.timeout(seconds)
-        finally:
-            res.release()
-            tr = self.tracer
-            if tr.enabled:
-                now = self.sim.now
-                tr.emit(now, "link.busy", link=res.name, cls=cls, size=size,
-                        wait=t0 - t_req, msg_id=msg_id, t0=t0, dur=now - t0)
-
-    def _deliver_self(self, msg: Message) -> Generator:
-        # Loopback: negligible wire, small fixed cost.
-        yield self.sim.timeout(1e-6)
-        self._deposit(msg)
-        return msg
-
-    def _deliver_lan(self, msg: Message) -> Generator:
-        # Cut-through: the injection port and the delivery port are each
-        # occupied for one serialization time, but they overlap (the switch
-        # forwards as bytes arrive), so an uncontended transfer takes
-        # latency + size/bw, while endpoint contention still serializes.
-        lan = self._cluster_lan[self.nodes[msg.src].cluster]
-        tx = msg.size / lan.bandwidth
-        out_leg = self.sim.spawn(self._occupy(self._lan_out[msg.src], tx,
-                                              "lan_out", msg.size,
-                                              msg.msg_id))
-        in_leg = self.sim.spawn(self._lan_in_leg(msg, tx))
-        yield self.sim.all_of([out_leg, in_leg])
-        self._deposit(msg)
-        return msg
-
-    def _lan_in_leg(self, msg: Message, tx: float) -> Generator:
-        lan = self._cluster_lan[self.nodes[msg.dst].cluster]
-        yield self.sim.timeout(lan.latency)
-        yield self.sim.spawn(self._occupy(self._lan_in[msg.dst], tx,
-                                          "lan_in", msg.size, msg.msg_id))
-        yield self.sim.spawn(self.nodes[msg.dst].cpu.execute(
-            lan.o_recv + msg.size * lan.per_byte_cpu))
-
-    def _wan_leg(self, msg_size: int, src_cluster: int, dst_cluster: int,
-                 msg_id: int = -1, streams: int = 1) -> Generator:
-        """Gateway -> WAN PVC -> remote gateway (shared by all WAN paths).
-
-        ``msg_id`` labels the trace records with the point-to-point
-        message this leg serves; fan-out paths that share one leg among
-        many deliveries pass -1.  ``streams`` > 1 stripes the PVC stage
-        over that many parallel chunk transfers (MPWide-style): chunks
-        still serialize on the capacity-1 PVC, but their latencies and —
-        under loss impairment — retransmit timeouts overlap.  The
-        gateway forwards bracket the whole transfer either way.
-        """
-        gwp = self.params.gateway
-        wan = self.params.wan
-        tr = self.tracer
-        traced = tr.enabled
-        fwd_cost = gwp.forward_cost + msg_size * gwp.per_byte_cost
-        # Local gateway store-and-forward.
-        t0 = self.sim.now
-        qd = yield self.sim.spawn(self._gw_execute(src_cluster, fwd_cost))
-        if traced:
-            now = self.sim.now
-            tr.emit(now, "gw.forward", cluster=src_cluster, size=msg_size,
-                    qdepth=qd, msg_id=msg_id, t0=t0, dur=now - t0)
-        k = max(1, min(streams, msg_size))
-        if k > 1:
-            # Striped PVC stage: near-equal chunks, each drawing its own
-            # impairment plan, all in flight at once.
-            base, rem = divmod(msg_size, k)
-            chunks = [base + 1] * rem + [base] * (k - rem)
-            legs = [self.sim.spawn(
-                self._wan_stripe(chunk, src_cluster, dst_cluster, msg_id),
-                name="wanstripe") for chunk in chunks]
-            yield self.sim.all_of(legs)
-        else:
-            # The PVC serializes transmissions; latency is pipeline delay.
-            tx = msg_size / wan.bandwidth
-            latency = wan.latency
-            imp = self.impair
-            if imp is not None:
-                plan = imp.plan(src_cluster, dst_cluster, msg_size, tx,
-                                latency, msg_id)
-                tx, latency = plan.tx, plan.latency
-                # Each lost transmission pays a full (impaired)
-                # serialization on the PVC plus the retransmit timeout
-                # before the copy that gets through.
-                for _ in range(plan.retries):
-                    yield self.sim.spawn(self._occupy(
-                        self._wan[(src_cluster, dst_cluster)], tx, "wan",
-                        msg_size, msg_id))
-                    yield self.sim.timeout(plan.rto)
-            t0 = self.sim.now
-            yield self.sim.spawn(self._occupy(
-                self._wan[(src_cluster, dst_cluster)], tx, "wan", msg_size,
-                msg_id))
-            self.meter.record_wan(msg_size)
-            yield self.sim.timeout(latency)
-            if traced:
-                now = self.sim.now
-                tr.emit(now, "wan.xfer", src_cluster=src_cluster,
-                        dst_cluster=dst_cluster, size=msg_size, tx=tx,
-                        msg_id=msg_id, t0=t0, dur=now - t0)
-        # Remote gateway store-and-forward.
-        t0 = self.sim.now
-        qd = yield self.sim.spawn(self._gw_execute(dst_cluster, fwd_cost))
-        if traced:
-            now = self.sim.now
-            tr.emit(now, "gw.forward", cluster=dst_cluster, size=msg_size,
-                    qdepth=qd, msg_id=msg_id, t0=t0, dur=now - t0)
-
-    def _wan_stripe(self, chunk_size: int, src_cluster: int,
-                    dst_cluster: int, msg_id: int) -> Generator:
-        """One striped chunk of a WAN transfer: the PVC stage of
-        :meth:`_wan_leg` for ``chunk_size`` bytes."""
-        wan = self.params.wan
-        tr = self.tracer
-        tx = chunk_size / wan.bandwidth
-        latency = wan.latency
-        imp = self.impair
-        if imp is not None:
-            plan = imp.plan(src_cluster, dst_cluster, chunk_size, tx,
-                            latency, msg_id)
-            tx, latency = plan.tx, plan.latency
-            for _ in range(plan.retries):
-                yield self.sim.spawn(self._occupy(
-                    self._wan[(src_cluster, dst_cluster)], tx, "wan",
-                    chunk_size, msg_id))
-                yield self.sim.timeout(plan.rto)
-        t0 = self.sim.now
-        yield self.sim.spawn(self._occupy(
-            self._wan[(src_cluster, dst_cluster)], tx, "wan", chunk_size,
-            msg_id))
-        self.meter.record_wan(chunk_size)
-        yield self.sim.timeout(latency)
-        if tr.enabled:
-            now = self.sim.now
-            tr.emit(now, "wan.xfer", src_cluster=src_cluster,
-                    dst_cluster=dst_cluster, size=chunk_size, tx=tx,
-                    msg_id=msg_id, t0=t0, dur=now - t0)
-
-    def _gw_execute(self, cluster: int, cost: float) -> Generator:
-        """Charge ``cost`` to a gateway CPU; returns the queue depth.
-
-        Depth is sampled atomically with the request — the queue this
-        forward actually joins, counting itself — so fast and legacy
-        paths report identical ``qdepth`` even when several forwards
-        arrive at the same instant.
-        """
-        gw = self.gateways[cluster].cpu
-        qd = gw.queue_length + gw.in_use + 1
-        yield gw.request()
-        try:
-            yield self.sim.timeout(cost)
-        finally:
-            gw.release()
-        return qd
-
-    def _access_leg_up(self, size: int, src_cluster: int,
-                       msg_id: int = -1) -> Generator:
-        """Node -> local gateway over the shared access link.
-
-        Takes ``(size, src_cluster)`` directly — fan-out paths share one
-        access-link trip among many deliveries and must not fabricate a
-        :class:`Message` (which would burn a ``msg_id`` and skew the
-        run-local id-reset determinism guarantees) just to ride the leg.
-        """
-        access = self.params.access
-        tx = size / access.bandwidth
-        yield self.sim.spawn(self._occupy(self._gw_access[src_cluster], tx,
-                                          "access", size, msg_id))
-        yield self.sim.timeout(access.latency)
-
-    def _access_leg_down(self, msg: Message, dst: int) -> Generator:
-        """Remote gateway -> destination node."""
-        access = self.params.access
-        tx = msg.size / access.bandwidth
-        dst_cluster = self.topo.cluster_of(dst)
-        yield self.sim.spawn(self._occupy(self._gw_access[dst_cluster], tx,
-                                          "access", msg.size, msg.msg_id))
-        yield self.sim.timeout(access.latency)
-        yield self.sim.spawn(self.nodes[dst].cpu.execute(
-            access.o_recv + msg.size * access.per_byte_cpu))
-
-    def _deliver_wan(self, msg: Message, streams: int = 1) -> Generator:
-        src_cluster = self.topo.cluster_of(msg.src)
-        dst_cluster = self.topo.cluster_of(msg.dst)
-        yield self.sim.spawn(self._access_leg_up(msg.size, src_cluster,
-                                                 msg.msg_id))
-        yield self.sim.spawn(self._wan_leg(msg.size, src_cluster, dst_cluster,
-                                           msg.msg_id, streams))
-        yield self.sim.spawn(self._access_leg_down(msg, msg.dst))
-        self._deposit(msg)
-        return msg
-
-    def _deliver_multicast(self, src: int, cluster: int, size: int,
-                           payload: Any, port: str, kind: str,
-                           include_self: bool) -> Generator:
-        lan = self._cluster_lan[cluster]
-        tx = size / lan.bandwidth
-        # Injection overlaps delivery (spanning-tree forwarding in the NIC).
-        legs = [self.sim.spawn(self._occupy(self._lan_out[src], tx,
-                                            "lan_out", size))]
-        for dst in self.topo.nodes_in(cluster):
-            if dst == src and not include_self:
-                continue
-            msg = Message(src=src, dst=dst, size=size, payload=payload,
-                          port=port, kind=kind, send_time=self.sim.now)
-            legs.append(self.sim.spawn(self._multicast_recv(msg, tx)))
-        yield self.sim.all_of(legs)
-        return len(legs) - 1
-
-    def _multicast_recv(self, msg: Message, tx: float) -> Generator:
-        lan = self._cluster_lan[self.nodes[msg.dst].cluster]
-        yield self.sim.timeout(lan.latency)
-        yield self.sim.spawn(self._occupy(self._lan_in[msg.dst], tx,
-                                          "lan_in", msg.size, msg.msg_id))
-        yield self.sim.spawn(self.nodes[msg.dst].cpu.execute(
-            lan.o_recv + msg.size * lan.per_byte_cpu))
-        self._deposit(msg)
-
-    def _deliver_wan_fanout(self, src: int, src_cluster: int,
-                            remote: List[int], size: int, payload: Any,
-                            port: str, kind: str, shape: str = "flat",
-                            streams: int = 1) -> Generator:
-        yield self.sim.spawn(self._access_leg_up(size, src_cluster))
-        if shape == "chain":
-            total = yield self.sim.spawn(
-                self._fanout_chain(src, src_cluster, remote, size, payload,
-                                   port, kind, streams),
-                name="fanchain")
-            return total
-        if shape == "binomial":
-            total = yield self.sim.spawn(
-                self._fanout_binomial(src, src_cluster, remote, size,
-                                      payload, port, kind, streams),
-                name="fanbinom")
-            return total
-        legs = [self.sim.spawn(
-            self._wan_leg_and_remote_multicast(src, src_cluster, c, size,
-                                               payload, port, kind, streams))
-            for c in remote]
-        counts = yield self.sim.all_of(legs)
-        return sum(counts)
-
-    def _fanout_chain(self, src: int, src_cluster: int, remote: List[int],
-                      size: int, payload: Any, port: str, kind: str,
-                      streams: int) -> Generator:
-        """Gateway relay: each cluster's gateway forwards the payload to
-        the next remote cluster while its own local multicast proceeds in
-        the background.  One PVC hop per link of the chain; the store-
-        and-forward costs inside :meth:`_wan_leg` are the relay cost."""
-        mcasts = []
-        prev = src_cluster
-        for c in remote:
-            yield self.sim.spawn(self._wan_leg(size, prev, c, -1, streams))
-            mcasts.append(self.sim.spawn(
-                self._remote_gateway_multicast(src, c, size, payload, port,
-                                               kind)))
-            prev = c
-        counts = yield self.sim.all_of(mcasts)
-        return sum(counts)
-
-    def _fanout_binomial(self, src: int, src_cluster: int, remote: List[int],
-                         size: int, payload: Any, port: str, kind: str,
-                         streams: int) -> Generator:
-        """Recursive halving over the cluster gateways: the source covers
-        the farthest half first, then each new holder re-broadcasts into
-        its own half — ceil(log2(n_clusters)) rounds of parallel hops."""
-        order = [src_cluster] + remote
-        sim = self.sim
-        done = Event(sim)
         state = [0, len(remote)]  # delivered count, outstanding multicasts
 
-        def mcast_then_count(dst_c: int) -> Generator:
-            n = yield sim.spawn(
-                self._remote_gateway_multicast(src, dst_c, size, payload,
-                                               port, kind))
+        def counted(n: int) -> None:
             state[0] += n
             state[1] -= 1
             if not state[1]:
                 done.succeed(state[0])
 
-        def branch(lo: int, hi: int) -> Generator:
-            # order[lo] holds the payload and covers order[lo+1:hi].
-            while hi - lo > 1:
-                mid = (lo + hi + 1) // 2
-                yield sim.spawn(self._wan_leg(size, order[lo], order[mid],
-                                              -1, streams))
-                sim.spawn(mcast_then_count(order[mid]), name="fanmcast")
-                if hi - mid > 1:
-                    sim.spawn(branch(mid, hi), name="fanbranch")
-                hi = mid
+        def hop(a: int, b: int, then: Callable[[], None]) -> None:
+            self._wan_leg(size, a, b, -1, streams, then)
 
-        sim.spawn(branch(0, len(order)), name="fanbranch")
-        total = yield done
-        return total
+        def reached(c: int) -> None:
+            self._remote_gw_multicast(src, c, size, payload, port, kind,
+                                      counted)
 
-    def _wan_leg_and_remote_multicast(self, src: int, src_cluster: int,
-                                      dst_cluster: int, size: int,
-                                      payload: Any, port: str, kind: str,
-                                      streams: int = 1) -> Generator:
-        yield self.sim.spawn(self._wan_leg(size, src_cluster, dst_cluster,
-                                           -1, streams))
-        n = yield self.sim.spawn(
-            self._remote_gateway_multicast(src, dst_cluster, size, payload,
-                                           port, kind))
-        return n
+        if shape == "chain":
+            path = [src_cluster] + remote
+            start = lambda: self._relay(path, 0, hop, reached)  # noqa: E731
+        elif shape == "binomial":
+            order = [src_cluster] + remote
+            start = lambda: self._binomial(  # noqa: E731
+                order, 0, len(order), hop, reached)
+        else:
+            def start() -> None:
+                for c in remote:
+                    hop(src_cluster, c, lambda c=c: reached(c))
 
-    def _remote_gateway_multicast(self, src: int, dst_cluster: int, size: int,
-                                  payload: Any, port: str,
-                                  kind: str) -> Generator:
-        """Re-inject a WAN arrival as a local multicast in ``dst_cluster``."""
-        lan = self._cluster_lan[dst_cluster]
-        gw = self.gateways[dst_cluster]
-        yield self.sim.spawn(gw.cpu.execute(lan.o_send + self.params.bcast_extra))
-        tx = size / lan.bandwidth
-        waits = []
-        for dst in self.topo.nodes_in(dst_cluster):
-            msg = Message(src=src, dst=dst, size=size, payload=payload,
-                          port=port, kind=kind, send_time=self.sim.now)
-            waits.append(self.sim.spawn(self._multicast_recv(msg, tx)))
-        if waits:
-            yield self.sim.all_of(waits)
-        return len(waits)
+        self._access_up(size, src_cluster, -1, start)
+        return done
 
-    def _deliver_wan_multicast(self, src: int, dst_cluster: int, size: int,
-                               payload: Any, port: str, kind: str,
-                               streams: int = 1) -> Generator:
-        src_cluster = self.topo.cluster_of(src)
-        yield self.sim.spawn(self._access_leg_up(size, src_cluster))
-        n = yield self.sim.spawn(
-            self._wan_leg_and_remote_multicast(src, src_cluster, dst_cluster,
-                                               size, payload, port, kind,
-                                               streams))
-        return n
+    def _relay(self, path: List[int], i: int,
+               hop: Callable[[int, int, Callable[[], None]], None],
+               reached: Callable[[int], None]) -> None:
+        """Chain: path[i] holds the payload and forwards to path[i+1],
+        which starts its local multicast and relays onwards."""
+        if i + 1 < len(path):
+            c = path[i + 1]
+
+            def arrived() -> None:
+                reached(c)
+                self._relay(path, i + 1, hop, reached)
+
+            hop(path[i], c, arrived)
+
+    def _binomial(self, order: List[int], lo: int, hi: int,
+                  hop: Callable[[int, int, Callable[[], None]], None],
+                  reached: Callable[[int], None]) -> None:
+        """Binomial: order[lo] holds the payload and covers
+        order[lo+1:hi], the far half first — ceil(log2(n_clusters))
+        rounds of parallel hops."""
+        if hi - lo > 1:
+            mid = (lo + hi + 1) // 2
+
+            def arrived() -> None:
+                reached(order[mid])
+                self._binomial(order, mid, hi, hop, reached)
+                self._binomial(order, lo, mid, hop, reached)
+
+            hop(order[lo], order[mid], arrived)
 
     # ---------------------------------------------------------------- util
 
@@ -1157,3 +826,16 @@ class Fabric:
                     msg_kind=msg.kind, port=msg.port,
                     latency=self.sim.now - msg.send_time)
         self.nodes[msg.dst].port(msg.port).put(msg)
+
+
+def _launch_after(charged: Event, launch: Callable[[], Event],
+                  then: Optional[Callable[[Event], None]]) -> None:
+    """Call ``launch()`` once ``charged`` fires, then ``then(done)``
+    with the event it returns — a chain caller's ``yield charged;
+    return launch()``."""
+    def _launch(_ev: Event) -> None:
+        done = launch()
+        if then is not None:
+            then(done)
+
+    charged.callbacks.append(_launch)

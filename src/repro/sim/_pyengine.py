@@ -271,10 +271,9 @@ class Simulator:
         self._seq: int = 0
         self._running = False
         self._n_spawned: int = 0
-        # Fast-path observability (see stats()): inline completions the
-        # fast tier performed without a heap dispatch, and the times a
-        # fast-path site had to defer through the heap (or hand a flow
-        # back to the legacy generator path) to preserve same-instant
+        # Fast-path observability (see stats()): inline completions
+        # performed without a heap dispatch, and the times a callback
+        # chain had to defer through the heap to preserve same-instant
         # ordering.  Both are plain integer bumps on paths that already
         # branch, so the dispatch loop never sees them.
         self._n_fast: int = 0
@@ -390,22 +389,21 @@ class Simulator:
         This keeps the counter live mid-run without any cost in the
         dispatch loop.
 
-        The event-minimization counters make the two-tier model
-        observable per run:
+        The event-minimization counters make the callback-chain message
+        path observable per run:
 
-        * ``spawns`` — processes started (same value as the legacy
-          ``processes_spawned`` key, kept for compatibility).  A
-          fast-tier run spawns far fewer than a legacy run of the same
-          workload.
-        * ``fast_completions`` — completions the fast tier performed
-          inline at a quiet instant (every :func:`fire` call plus the
-          sequencers' synchronous ``try_acquire`` stamps), i.e. heap
-          dispatches that never happened.
-        * ``fallbacks`` — times a fast-path site found the current
-          instant busy (or the state contended) and deferred through
-          the heap at legacy dispatch depths — or handed the flow back
-          to the legacy generator path — so same-instant races
-          linearize identically in both tiers.
+        * ``spawns`` — processes started (same value as the older
+          ``processes_spawned`` key, kept for compatibility).  The
+          message path spawns none; applications and scenario faults
+          do.
+        * ``fast_completions`` — completions performed inline at a
+          quiet instant (every :func:`fire` call plus the sequencers'
+          synchronous ``try_acquire`` stamps), i.e. heap dispatches
+          that never happened.
+        * ``fallbacks`` — times a chain found the current instant busy
+          (or the state contended) and deferred through the heap at its
+          fixed dispatch depths, so same-instant races linearize in
+          order.
         """
         return {
             "events_processed": self._seq - len(self._heap),

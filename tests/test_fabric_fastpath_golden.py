@@ -1,85 +1,16 @@
-"""Golden equivalence: the fabric fast paths vs the process-per-leg legacy.
+"""Property tests for the analytic holds under every fabric leg.
 
-The event-minimizing message path (callback-chained fabric legs,
-``Resource.occupy`` analytic holds) is a *host-time* optimization: the
-determinism contract in ``ARCHITECTURE.md`` promises that every
-application produces bit-identical virtual-time results either way —
-same answer, same elapsed time, same traffic counters, and, with
-tracing on, the *same trace records in the same order*.
-
-This suite pins that contract two ways:
-
-* a golden sweep of all eight paper applications over single-cluster,
-  two-cluster and four-cluster topologies, comparing a fast-path run
-  against a legacy run record-for-record;
-* hypothesis property tests that drive :meth:`Resource.occupy` and
-  :meth:`CPU.execute_ev` against the explicit request/timeout/release
-  process pattern under random contention and assert identical
-  completion times and busy-time accounting.
+:meth:`Resource.occupy` and :meth:`CPU.execute_ev` replace the explicit
+request/timeout/release process pattern on the message path.  These
+hypothesis tests drive both under random contention and assert
+identical completion times and busy-time accounting.  The path built
+on them is pinned end to end by ``tests/test_stack_golden.py``.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.apps import PAPER_ORDER, make_app, small_params
-from repro.harness.experiment import run_app
-from repro.sim import CPU, Resource, Simulator, Tracer
-
-#: One small, one medium, one wide topology — exercises the self, LAN
-#: and WAN delivery paths plus gateway multicast fan-out.
-TOPOLOGIES = [(1, 4), (2, 3), (4, 2)]
-
-#: Process-lifecycle records are the one intended difference: the fast
-#: paths exist precisely to not spawn a process per message leg.
-PROCESS_KINDS = {"proc.spawn", "proc.finish"}
-
-
-def _eq(a, b):
-    """Structural equality that tolerates numpy answers."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(a, b)
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_eq(a[k], b[k]) for k in a)
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return len(a) == len(b) and all(_eq(x, y) for x, y in zip(a, b))
-    return a == b
-
-
-def _traced_run(app_name, fast, n_clusters, nodes_per_cluster):
-    app = make_app(app_name)
-    tracer = Tracer()
-    result = run_app(app, app.variants[0], n_clusters, nodes_per_cluster,
-                     small_params(app_name), trace=True, tracer=tracer,
-                     fast_paths=fast)
-    records = [(r.time, r.kind, tuple(sorted(r.detail.items())))
-               for r in tracer.records if r.kind not in PROCESS_KINDS]
-    return result, records
-
-
-@pytest.mark.parametrize("app_name", PAPER_ORDER)
-def test_fast_paths_bit_identical(app_name):
-    for n_clusters, nodes in TOPOLOGIES:
-        fast, fast_recs = _traced_run(app_name, True, n_clusters, nodes)
-        legacy, legacy_recs = _traced_run(app_name, False, n_clusters, nodes)
-        label = f"{app_name} {n_clusters}x{nodes}"
-        assert _eq(fast.answer, legacy.answer), label
-        assert fast.elapsed == legacy.elapsed, label
-        assert fast.traffic == legacy.traffic, label  # incl. WAN bytes
-        # Strict: same records, same order, same times, same fields.
-        assert fast_recs == legacy_recs, label
-
-
-def test_fast_paths_identical_untraced():
-    """The contract holds with tracing off too (the default fast tier)."""
-    for fast in (True, False):
-        result = run_app(make_app("tsp"), "original", 2, 2,
-                         small_params("tsp"), fast_paths=fast)
-        if fast:
-            reference = result
-    assert _eq(reference.answer, result.answer)
-    assert reference.elapsed == result.elapsed
-    assert reference.traffic == result.traffic
+from repro.sim import CPU, Resource, Simulator
 
 
 # --------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.network import DAS_PARAMS, Fabric, uniform_clusters
+from repro.scenario import install
 from repro.sim import Simulator
 
 
@@ -236,10 +237,9 @@ def _striping_model(streams):
     return DecisionModel(contexts=((2, ctx),), source="test")
 
 
-# (fast_paths, stripes): the callback-chain leg, the generator leg, and
-# the striped generator leg a decision model selects.
-WAN_PATHS = {"chain": (True, 1), "generator": (False, 1),
-             "striped": (True, 4)}
+#: Streams per WAN path: one PVC transfer, or the striped transfer a
+#: decision model selects.
+WAN_PATHS = {"chain": 1, "striped": 4}
 
 
 @pytest.mark.parametrize("path", sorted(WAN_PATHS))
@@ -247,12 +247,11 @@ WAN_PATHS = {"chain": (True, 1), "generator": (False, 1),
 def test_send_and_wait_returns_at_wan_delivery_time(path, size):
     """send_and_wait over a WAN pair returns exactly when an identical
     send's delivery event fires and the message lands in the port."""
-    fast, stripes = WAN_PATHS[path]
+    stripes = WAN_PATHS[path]
 
     def fabric():
         sim = Simulator()
-        fab = Fabric(sim, uniform_clusters(2, 4), DAS_PARAMS,
-                     fast_paths=fast)
+        fab = Fabric(sim, uniform_clusters(2, 4), DAS_PARAMS)
         if stripes > 1:
             fab.decision = _striping_model(stripes)
         return sim, fab
@@ -282,3 +281,28 @@ def test_send_and_wait_returns_at_wan_delivery_time(path, size):
     sim.spawn(receiver())
     delivered_at = sim.run_process(sender())
     assert waited_at == delivered_at == got[0] > 0.0
+
+
+def test_impaired_striped_and_shaped_wan_paths_spawn_no_process():
+    """Impaired, striped and chain/binomial WAN transfers are callback
+    chains like every other leg: the driver is the only process."""
+    from .test_stack_golden import IMPAIRED
+
+    sim = Simulator()
+    fab = Fabric(sim, uniform_clusters(4, 3), DAS_PARAMS)
+    install(sim, fab, IMPAIRED)
+    fab.decision = _striping_model(4)
+
+    def driver():
+        done = yield from fab.send(0, 3, 4096)
+        yield done
+        for shape in ("flat", "chain", "binomial"):
+            for streams in (1, 4):
+                done = yield from fab.wan_fanout_multicast(
+                    0, 4096, shape=shape, streams=streams)
+                assert (yield done) == 9
+    sim.run_process(driver())
+    assert sim.stats()["spawns"] == 1
+    # The send went out as 4 stripes; each fan-out crossed 3 PVCs with
+    # 1 or 4 stripes per hop.
+    assert fab.meter.wan_messages == 4 + 3 * (3 * 1 + 3 * 4)

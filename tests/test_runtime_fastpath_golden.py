@@ -1,28 +1,18 @@
-"""Golden equivalence: the Orca control-plane fast tier vs its legacy.
+"""The Orca control plane as callback chains: counters and holdback order.
 
-PR "event-minimizing message path" pinned the *fabric* fast paths to
-their process-per-leg legacy.  This suite pins the layer above: the
-callback-chained broadcast delivery (armed ports + holdback drain),
-sequencer ``try_acquire`` analytic stamps, chained dissemination, and
-the chained RPC service in :class:`repro.orca.OrcaRuntime` must be
-bit-identical to the generator/process tier — same answers, same
-elapsed virtual time, same traffic counters, and the same trace
-records in the same order.
+Broadcast delivery (armed ports + holdback drain), sequencer
+``try_acquire`` analytic stamps, chained dissemination and the chained
+RPC service run without per-node server or dispatcher processes.  Their
+virtual-time results are pinned end to end by
+``tests/test_stack_golden.py``; here:
 
-Isolation: both runs here use the *fast* fabric; only
-``runtime_fast_paths`` toggles.  (The full fast stack vs the full
-legacy stack is covered by ``test_fabric_fastpath_golden``, whose
-``fast_paths=`` toggle now spans both layers.)
-
-Also here:
-
+* the ``Simulator.stats()`` counters (``spawns``, ``fast_completions``,
+  ``fallbacks``) — the runtime itself spawns no process;
 * hypothesis property tests driving :class:`TotalOrderBroadcast`
-  holdback delivery directly under adversarial arrival orders;
-* assertions on the new ``Simulator.stats()`` counters (``spawns``,
-  ``fast_completions``, ``fallbacks``) across the three tiers.
+  holdback delivery directly under adversarial arrival orders, against
+  an analytic reference.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,88 +21,28 @@ from repro.harness.experiment import run_app
 from repro.network import DAS_PARAMS, Fabric, uniform_clusters
 from repro.network.message import Message, reset_ids
 from repro.orca import OrcaRuntime
-from repro.orca.broadcast import BCAST_PORT, TotalOrderBroadcast
+from repro.orca.broadcast import BCAST_PORT, BcastPayload, TotalOrderBroadcast
 from repro.orca.sequencer import CentralizedSequencer
-from repro.sim import Simulator, Tracer
-
-TOPOLOGIES = [(1, 4), (2, 3), (4, 2)]
-
-#: The intended host-side difference: the fast tier replaces the per-node
-#: dispatcher/server processes (and the fabric's per-leg processes).
-PROCESS_KINDS = {"proc.spawn", "proc.finish"}
+from repro.sim import Simulator
 
 
-def _eq(a, b):
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(a, b)
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_eq(a[k], b[k]) for k in a)
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return len(a) == len(b) and all(_eq(x, y) for x, y in zip(a, b))
-    return a == b
-
-
-def _traced_run(app_name, runtime_fast, n_clusters, nodes_per_cluster):
-    app = make_app(app_name)
-    tracer = Tracer()
-    result = run_app(app, app.variants[0], n_clusters, nodes_per_cluster,
-                     small_params(app_name), trace=True, tracer=tracer,
-                     fast_paths=True, runtime_fast_paths=runtime_fast)
-    records = [(r.time, r.kind, tuple(sorted(r.detail.items())))
-               for r in tracer.records if r.kind not in PROCESS_KINDS]
-    return result, records
+def test_runtime_spawns_no_process():
+    sim = Simulator()
+    fabric = Fabric(sim, uniform_clusters(2, 3), DAS_PARAMS)
+    OrcaRuntime(sim, fabric)
+    assert sim.stats()["spawns"] == 0
 
 
 @pytest.mark.parametrize("app_name", PAPER_ORDER)
-def test_runtime_fast_tier_bit_identical(app_name):
-    touched = 0
-    for n_clusters, nodes in TOPOLOGIES:
-        fast, fast_recs = _traced_run(app_name, True, n_clusters, nodes)
-        legacy, legacy_recs = _traced_run(app_name, False, n_clusters, nodes)
-        label = f"{app_name} {n_clusters}x{nodes}"
-        assert _eq(fast.answer, legacy.answer), label
-        assert fast.elapsed == legacy.elapsed, label
-        assert fast.traffic == legacy.traffic, label
-        assert fast_recs == legacy_recs, label
-        # The tiers differ exactly where intended: the fast run runs no
-        # dispatcher/server processes, so it spawns strictly fewer.
-        assert fast.sim_stats["spawns"] < legacy.sim_stats["spawns"], label
-        touched += (fast.sim_stats["fast_completions"]
-                    + fast.sim_stats["fallbacks"])
-    # Every app exercises the fast-path sites somewhere in the sweep
-    # (lockstep apps may see only busy instants — all fallbacks — on a
-    # given topology, but never zero activity overall).
-    assert touched > 0, app_name
-
-
-def test_stats_counters_across_tiers():
-    app, params = make_app("tsp"), small_params("tsp")
-    fast = run_app(app, "original", 2, 2, params)
-    mixed = run_app(app, "original", 2, 2, params, runtime_fast_paths=False)
-    legacy = run_app(app, "original", 2, 2, params, fast_paths=False)
-    assert _eq(fast.answer, legacy.answer)
-    assert fast.elapsed == mixed.elapsed == legacy.elapsed
-    # Host-side effort is strictly ordered: all-fast < fabric-fast-only
-    # < all-legacy, both in processes spawned and events dispatched.
-    assert (fast.sim_stats["spawns"] < mixed.sim_stats["spawns"]
-            < legacy.sim_stats["spawns"])
-    assert (fast.sim_stats["events_processed"]
-            < mixed.sim_stats["events_processed"]
-            < legacy.sim_stats["events_processed"])
-    # The legacy tier never completes anything inline...
-    assert legacy.sim_stats["fast_completions"] == 0
-    assert legacy.sim_stats["fallbacks"] == 0
-    # ...while the fast tiers do, deferring only at contended instants.
-    assert fast.sim_stats["fast_completions"] > 0
-    assert fast.sim_stats["spawns"] == fast.sim_stats["processes_spawned"]
-
-
-def test_runtime_fast_requires_fast_fabric():
-    sim = Simulator()
-    fabric = Fabric(sim, uniform_clusters(1, 2), DAS_PARAMS,
-                    fast_paths=False)
-    with pytest.raises(ValueError, match="fast_paths"):
-        OrcaRuntime(sim, fabric, fast_paths=True)
+def test_stats_counters(app_name):
+    res = run_app(make_app(app_name), "original", 2, 2,
+                  small_params(app_name))
+    stats = res.sim_stats
+    assert stats["spawns"] == stats["processes_spawned"]
+    # Every app completes some work inline at quiet instants and defers
+    # some at busy ones.
+    assert stats["fast_completions"] > 0
+    assert stats["fallbacks"] > 0
 
 
 # --------------------------------------------------------------------------
@@ -120,47 +50,30 @@ def test_runtime_fast_requires_fast_fabric():
 #
 # Drives TotalOrderBroadcast directly: stamped payloads are deposited
 # into a node's broadcast port in a hypothesis-chosen permutation at
-# hypothesis-chosen (possibly colliding) instants.  Fast and legacy
-# delivery must apply them in identical sequence order at identical
-# virtual times.
+# hypothesis-chosen (possibly colliding) instants.  Nothing else uses
+# the node's CPU, so the apply of seq ``s`` must complete at
+# ``max(arrival(s), done(s - 1)) + _APPLY_COST``, each seq exactly once
+# and in order.
 
 _APPLY_COST = 1e-5
 
 
-class _Recorder:
-    """A minimal runtime stand-in: both apply tiers charge the same CPU
-    cost and log (node, seq, time)."""
-
-    def __init__(self, sim, fabric):
-        self.sim = sim
-        self.fabric = fabric
-        self.log = []
-
-    def apply_fn(self, node, payload):
-        yield self.fabric.nodes[node].cpu.execute_ev(_APPLY_COST)
-        self.log.append((node, payload.seq, self.sim.now))
-        return payload.seq
-
-    def apply_fast(self, node, payload, k):
-        def _charged(_ev):
-            self.log.append((node, payload.seq, self.sim.now))
-            k(payload.seq)
-        self.fabric.nodes[node].cpu.execute_ev(
-            _APPLY_COST).callbacks.append(_charged)
-
-
-def _drive_holdback(fast, order, delays):
+def _drive_holdback(order, delays):
     reset_ids()
     sim = Simulator()
-    fabric = Fabric(sim, uniform_clusters(1, 2), DAS_PARAMS,
-                    fast_paths=True)
-    rec = _Recorder(sim, fabric)
-    protocol = CentralizedSequencer(sim, 1, 0.0)
-    tob = TotalOrderBroadcast(
-        sim, fabric, protocol, rec.apply_fn, fast_paths=fast,
-        apply_fast=rec.apply_fast if fast else None)
+    fabric = Fabric(sim, uniform_clusters(1, 2), DAS_PARAMS)
+    log = []
+
+    def apply(node, payload, k):
+        def _charged(_ev):
+            log.append((node, payload.seq, sim.now))
+            k(payload.seq)
+        fabric.nodes[node].cpu.execute_ev(
+            _APPLY_COST).callbacks.append(_charged)
+
+    tob = TotalOrderBroadcast(sim, fabric, CentralizedSequencer(sim, 1, 0.0),
+                              apply)
     port = fabric.nodes[0].port(BCAST_PORT)
-    from repro.orca.broadcast import BcastPayload
     for seq, delay in zip(order, delays):
         payload = BcastPayload(seq=seq, obj_name="o", op_name="w",
                                args=(), sender=1)
@@ -168,7 +81,17 @@ def _drive_holdback(fast, order, delays):
                       port=BCAST_PORT, kind="bcast")
         sim.after(delay, lambda _ev, m=msg: port.put(m))
     sim.run()
-    return rec.log, tob.applied_sequence(0)
+    return log, tob.applied_sequence(0)
+
+
+def _reference(order, delays):
+    """Analytic apply log: (node, seq, completion time) in seq order."""
+    arrival = dict(zip(order, delays))
+    log, done = [], 0.0
+    for seq in range(len(order)):
+        done = max(arrival[seq], done) + _APPLY_COST
+        log.append((0, seq, done))
+    return log
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,24 +100,19 @@ def _drive_holdback(fast, order, delays):
         st.permutations(list(range(n))),
         st.lists(st.integers(0, 4).map(lambda d: d * 0.25),
                  min_size=n, max_size=n))))
-def test_holdback_delivery_matches_legacy(order_delays):
+def test_holdback_delivery_matches_reference(order_delays):
     order, delays = order_delays
-    fast_log, fast_seq = _drive_holdback(True, order, delays)
-    legacy_log, legacy_seq = _drive_holdback(False, order, delays)
-    n = len(order)
-    # Total order restored, exactly once per payload, in both tiers.
-    assert fast_seq == legacy_seq == list(range(n))
-    # Same applies at the same virtual times, in the same order.
-    assert fast_log == legacy_log
+    log, applied = _drive_holdback(order, delays)
+    assert applied == list(range(len(order)))
+    assert log == _reference(order, delays)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.permutations(list(range(5))))
 def test_holdback_same_instant_burst(order):
-    """All arrivals in one instant: the drain loop applies the whole
-    run in one go once the gap closes, identically in both tiers."""
+    """All arrivals in one instant: the drain applies the whole run in
+    one go once the gap closes, back to back."""
     delays = [0.0] * len(order)
-    fast_log, fast_seq = _drive_holdback(True, order, delays)
-    legacy_log, legacy_seq = _drive_holdback(False, order, delays)
-    assert fast_seq == legacy_seq == list(range(len(order)))
-    assert fast_log == legacy_log
+    log, applied = _drive_holdback(order, delays)
+    assert applied == list(range(len(order)))
+    assert log == _reference(order, delays)
