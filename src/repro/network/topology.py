@@ -61,10 +61,12 @@ class Topology:
         if not self.clusters:
             raise ValueError("topology needs at least one cluster")
         self._starts = []
+        self._cluster_of: List[int] = []  # node id -> cluster index
         acc = 0
-        for c in self.clusters:
+        for ci, c in enumerate(self.clusters):
             self._starts.append(acc)
             acc += c.n_nodes
+            self._cluster_of += [ci] * c.n_nodes
         self._total = acc
 
     @property
@@ -79,11 +81,7 @@ class Topology:
         """Cluster index owning global node id ``node``."""
         if not 0 <= node < self._total:
             raise ValueError(f"node id {node} out of range 0..{self._total - 1}")
-        # Clusters are few; linear scan is clearest and fast enough.
-        for ci in range(len(self.clusters) - 1, -1, -1):
-            if node >= self._starts[ci]:
-                return ci
-        raise AssertionError("unreachable")
+        return self._cluster_of[node]
 
     def nodes_in(self, cluster: int) -> range:
         start = self._starts[cluster]

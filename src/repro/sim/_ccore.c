@@ -8,6 +8,14 @@
  * re-entering the interpreter except to run user callbacks and
  * generator frames.
  *
+ * The counted Resource (CPUs, links) is part of the tier: its two
+ * per-priority FIFOs, busy-time accounting and release() are C, and a
+ * charge from _occupy() is a small C object whose deferred request,
+ * grant and hold expiry are K_CHARGE heap entries dispatched without
+ * entering the interpreter (the Python tier uses closures at the same
+ * heap positions).  repro.sim.primitives subclasses it with the public
+ * request/occupy methods.
+ *
  * Semantics are transcribed from _pyengine.py, which is the readable
  * reference: same error messages, same tie-break counting (every heap
  * entry bumps the counter exactly once, so Simulator.stats() agrees
@@ -40,6 +48,7 @@ static PyObject *str_send, *str_throw, *str_value, *str_dunder_name;
 #define K_EVENT 0   /* boxed Event: fire-and-dispatch */
 #define K_CALL  1   /* bare callable: call with no args */
 #define K_START 2   /* Process bootstrap: first generator resume */
+#define K_CHARGE 3  /* Resource charge: its next request/grant/expiry step */
 
 typedef struct {
     PyObject_HEAD
@@ -87,6 +96,8 @@ static PyTypeObject SimType;
 static PyTypeObject EventType;
 static PyTypeObject TimeoutType;
 static PyTypeObject ProcessType;
+static PyTypeObject ResourceType;
+static PyTypeObject ChargeType;
 
 static int process_step(ProcessObject *self, PyObject *sendval, int ok);
 
@@ -234,6 +245,36 @@ event_complete(EventObject *ev, PyObject *value, int ok)
     Py_XSETREF(ev->value, Py_NewRef(value));
     ev->ok = (char)ok;
     return event_post(ev, 0.0);
+}
+
+/* fire(): trigger ev and run its callbacks inline, bypassing the heap. */
+static int
+event_fire(EventObject *ev, PyObject *value)
+{
+    if (ev->value != Pending) {
+        PyErr_SetString(SimError, "event already triggered");
+        return -1;
+    }
+    Py_XSETREF(ev->value, Py_NewRef(value));
+    ev->ok = 1;
+    ev->scheduled = 1;
+    ((SimObject *)ev->sim)->n_fast += 1;
+    PyObject *cbs = ev->callbacks;
+    ev->callbacks = NULL;
+    if (cbs == NULL)
+        return 0;
+    for (Py_ssize_t i = 0; i < PyList_GET_SIZE(cbs); i++) {
+        PyObject *cb = Py_NewRef(PyList_GET_ITEM(cbs, i));
+        PyObject *r = PyObject_CallOneArg(cb, (PyObject *)ev);
+        Py_DECREF(cb);
+        if (!r) {
+            Py_DECREF(cbs);
+            return -1;
+        }
+        Py_DECREF(r);
+    }
+    Py_DECREF(cbs);
+    return 0;
 }
 
 static int
@@ -827,6 +868,477 @@ static PyTypeObject ProcessType = {
 };
 
 /* ------------------------------------------------------------------ */
+/* Resource and its charges                                            */
+/* ------------------------------------------------------------------ */
+
+/* A FIFO of strong references (ring buffer). */
+typedef struct {
+    PyObject **buf;
+    Py_ssize_t head, len, cap;
+} Fifo;
+
+static int
+fifo_push(Fifo *q, PyObject *item)
+{
+    if (q->len == q->cap) {
+        Py_ssize_t ncap = q->cap ? q->cap * 2 : 8;
+        PyObject **nbuf = PyMem_Malloc((size_t)ncap * sizeof(PyObject *));
+        if (!nbuf) { PyErr_NoMemory(); return -1; }
+        for (Py_ssize_t i = 0; i < q->len; i++)
+            nbuf[i] = q->buf[(q->head + i) % q->cap];
+        PyMem_Free(q->buf);
+        q->buf = nbuf;
+        q->head = 0;
+        q->cap = ncap;
+    }
+    q->buf[(q->head + q->len) % q->cap] = Py_NewRef(item);
+    q->len++;
+    return 0;
+}
+
+/* Pop the oldest item (owned reference); len must be > 0. */
+static PyObject *
+fifo_pop(Fifo *q)
+{
+    PyObject *item = q->buf[q->head];
+    q->head = (q->head + 1) % q->cap;
+    q->len--;
+    return item;
+}
+
+typedef struct {
+    PyObject_HEAD
+    SimObject *sim;         /* strong */
+    PyObject *name;
+    Py_ssize_t capacity;
+    Py_ssize_t in_use;
+    double busy_time;
+    double last_change;
+    Fifo q[2];              /* waiters: priority 0, priority 1 */
+} ResourceObject;
+
+/* One _occupy() call.  It sits in the heap (K_CHARGE) or in a resource
+ * queue; each dispatch runs the step named by `state`. */
+enum { CH_REQUEST, CH_GRANT, CH_EXPIRE };
+
+typedef struct {
+    PyObject_HEAD
+    ResourceObject *res;    /* strong */
+    EventObject *done;      /* strong: the completion event */
+    PyObject *on_release;   /* callable(t0, qdepth) or NULL */
+    double seconds;
+    double t0;              /* grant time */
+    Py_ssize_t qdepth;      /* queue joined, counting itself */
+    int priority;
+    int state;
+} ChargeObject;
+
+static int
+sim_idle_at_now(SimObject *s)
+{
+    return s->hlen == 0 || s->ht[0] > s->now;
+}
+
+static void
+resource_account(ResourceObject *r)
+{
+    double now = r->sim->now;
+    r->busy_time += (double)r->in_use * (now - r->last_change);
+    r->last_change = now;
+}
+
+static Py_ssize_t
+resource_qdepth(ResourceObject *r)
+{
+    return r->q[0].len + r->q[1].len + r->in_use + 1;
+}
+
+/* Return a slot: hand it to the first live waiter, urgent first (a
+ * charge's grant or a request event is posted at now), else free it. */
+static int
+resource_release(ResourceObject *r)
+{
+    if (r->in_use <= 0) {
+        PyErr_Format(SimError, "release of idle resource %R", r->name);
+        return -1;
+    }
+    for (int p = 0; p < 2; p++) {
+        Fifo *q = &r->q[p];
+        while (q->len) {
+            PyObject *w = fifo_pop(q);
+            int st = 1;  /* 1: skipped (already triggered) */
+            if (Py_IS_TYPE(w, &ChargeType))
+                st = heap_push(r->sim, r->sim->now, w, K_CHARGE);
+            else if (((EventObject *)w)->value == Pending)
+                st = event_complete((EventObject *)w, (PyObject *)r, 1);
+            Py_DECREF(w);
+            if (st <= 0)
+                return st;
+        }
+    }
+    resource_account(r);
+    r->in_use--;
+    return 0;
+}
+
+/* Request: take a free slot (grant posted one dispatch out) or queue. */
+static int
+charge_request(ChargeObject *ch)
+{
+    ResourceObject *r = ch->res;
+    ch->qdepth = resource_qdepth(r);
+    ch->state = CH_GRANT;
+    if (r->in_use < r->capacity) {
+        resource_account(r);
+        r->in_use++;
+        return heap_push(r->sim, r->sim->now, (PyObject *)ch, K_CHARGE);
+    }
+    return fifo_push(&r->q[ch->priority > 0], (PyObject *)ch);
+}
+
+/* Grant: the hold is one heap entry `seconds` out. */
+static int
+charge_hold(ChargeObject *ch)
+{
+    SimObject *sim = ch->res->sim;
+    ch->t0 = sim->now;
+    ch->state = CH_EXPIRE;
+    return heap_push(sim, sim->now + ch->seconds, (PyObject *)ch, K_CHARGE);
+}
+
+/* Expiry: release, report, then complete (inline when quiet). */
+static int
+charge_expire(ChargeObject *ch)
+{
+    SimObject *sim = ch->res->sim;
+    if (resource_release(ch->res) < 0)
+        return -1;
+    if (ch->on_release) {
+        PyObject *r = PyObject_CallFunction(ch->on_release, "dn",
+                                            ch->t0, ch->qdepth);
+        if (!r)
+            return -1;
+        Py_DECREF(r);
+    }
+    if (sim_idle_at_now(sim))
+        return event_fire(ch->done, Py_None);
+    return event_complete(ch->done, Py_None, 1);
+}
+
+static int
+charge_step(ChargeObject *ch)
+{
+    switch (ch->state) {
+    case CH_REQUEST:
+        return charge_request(ch);
+    case CH_GRANT:
+        return charge_hold(ch);
+    default:
+        return charge_expire(ch);
+    }
+}
+
+static int
+Charge_traverse(ChargeObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->res);
+    Py_VISIT(self->done);
+    Py_VISIT(self->on_release);
+    return 0;
+}
+
+static int
+Charge_clear(ChargeObject *self)
+{
+    Py_CLEAR(self->res);
+    Py_CLEAR(self->done);
+    Py_CLEAR(self->on_release);
+    return 0;
+}
+
+static void
+Charge_dealloc(ChargeObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    Charge_clear(self);
+    PyObject_GC_Del(self);
+}
+
+static PyTypeObject ChargeType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ccore._Charge",
+    .tp_basicsize = sizeof(ChargeObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "One Resource._occupy() charge (internal).",
+    .tp_dealloc = (destructor)Charge_dealloc,
+    .tp_traverse = (traverseproc)Charge_traverse,
+    .tp_clear = (inquiry)Charge_clear,
+};
+
+/* A Resource made by __new__ without __init__ has no simulator. */
+static int
+resource_check(ResourceObject *r)
+{
+    if (r->sim == NULL) {
+        PyErr_SetString(PyExc_RuntimeError, "Resource is not initialized");
+        return -1;
+    }
+    return 0;
+}
+
+static int
+parse_priority(PyObject *const *args, Py_ssize_t nargs, Py_ssize_t i,
+               long *out)
+{
+    *out = 0;
+    if (nargs > i) {
+        *out = PyLong_AsLong(args[i]);
+        if (*out == -1 && PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+static int
+Resource_init(ResourceObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *sim, *capobj = NULL, *name = NULL;
+    static char *kwlist[] = {"sim", "capacity", "name", NULL};
+    if (check_ready() < 0)
+        return -1;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O!|OO", kwlist,
+                                     &SimType, &sim, &capobj, &name))
+        return -1;
+    Py_ssize_t capacity = 1;
+    if (capobj) {
+        capacity = PyNumber_AsSsize_t(capobj, PyExc_OverflowError);
+        if (capacity == -1 && PyErr_Occurred())
+            return -1;
+    }
+    if (capacity < 1) {
+        PyErr_Format(SimError, "resource capacity must be >= 1: %S", capobj);
+        return -1;
+    }
+    if (!name) {
+        name = PyUnicode_FromString("");
+        if (!name)
+            return -1;
+    }
+    else
+        Py_INCREF(name);
+    Py_XSETREF(self->name, name);
+    Py_XSETREF(self->sim, (SimObject *)Py_NewRef(sim));
+    self->capacity = capacity;
+    self->in_use = 0;
+    self->busy_time = self->last_change = 0.0;
+    return 0;
+}
+
+static int
+Resource_traverse(ResourceObject *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->sim);
+    Py_VISIT(self->name);
+    for (int p = 0; p < 2; p++) {
+        Fifo *q = &self->q[p];
+        for (Py_ssize_t i = 0; i < q->len; i++)
+            Py_VISIT(q->buf[(q->head + i) % q->cap]);
+    }
+    return 0;
+}
+
+static int
+Resource_clear(ResourceObject *self)
+{
+    Py_CLEAR(self->sim);
+    Py_CLEAR(self->name);
+    for (int p = 0; p < 2; p++) {
+        Fifo *q = &self->q[p];
+        while (q->len) {
+            PyObject *w = fifo_pop(q);
+            Py_DECREF(w);
+        }
+    }
+    return 0;
+}
+
+static void
+Resource_dealloc(ResourceObject *self)
+{
+    PyObject_GC_UnTrack(self);
+    Resource_clear(self);
+    PyMem_Free(self->q[0].buf);
+    PyMem_Free(self->q[1].buf);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *
+Resource_request(ResourceObject *self, PyObject *const *args,
+                 Py_ssize_t nargs)
+{
+    long priority;
+    if (nargs > 1) {
+        PyErr_SetString(PyExc_TypeError, "_request() takes at most 1 argument");
+        return NULL;
+    }
+    if (resource_check(self) < 0 ||
+        parse_priority(args, nargs, 0, &priority) < 0)
+        return NULL;
+    EventObject *ev = event_new_bare(&EventType, self->sim);
+    if (!ev)
+        return NULL;
+    int st;
+    if (self->in_use < self->capacity) {
+        resource_account(self);
+        self->in_use++;
+        st = event_complete(ev, (PyObject *)self, 1);
+    }
+    else
+        st = fifo_push(&self->q[priority > 0], (PyObject *)ev);
+    if (st < 0) {
+        Py_DECREF(ev);
+        return NULL;
+    }
+    return (PyObject *)ev;
+}
+
+/* _occupy(seconds, priority=0, on_release=None): see _pyengine.py. */
+static PyObject *
+Resource_occupy(ResourceObject *self, PyObject *const *args,
+                Py_ssize_t nargs)
+{
+    long priority;
+    if (nargs < 1 || nargs > 3) {
+        PyErr_SetString(PyExc_TypeError,
+                        "_occupy() takes 1 to 3 positional arguments");
+        return NULL;
+    }
+    if (resource_check(self) < 0)
+        return NULL;
+    double seconds = PyFloat_AsDouble(args[0]);
+    if (seconds == -1.0 && PyErr_Occurred())
+        return NULL;
+    if (seconds < 0) {
+        PyErr_Format(SimError, "negative occupy time: %S", args[0]);
+        return NULL;
+    }
+    if (parse_priority(args, nargs, 1, &priority) < 0)
+        return NULL;
+    SimObject *sim = self->sim;
+    EventObject *done = event_new_bare(&EventType, sim);
+    if (!done)
+        return NULL;
+    ChargeObject *ch = PyObject_GC_New(ChargeObject, &ChargeType);
+    if (!ch) {
+        Py_DECREF(done);
+        return NULL;
+    }
+    ch->res = (ResourceObject *)Py_NewRef((PyObject *)self);
+    ch->done = (EventObject *)Py_NewRef((PyObject *)done);
+    ch->on_release = (nargs > 2 && args[2] != Py_None)
+        ? Py_NewRef(args[2]) : NULL;
+    ch->seconds = seconds;
+    ch->t0 = sim->now;
+    ch->qdepth = 0;
+    ch->priority = priority > 0;
+    ch->state = CH_REQUEST;
+    PyObject_GC_Track(ch);
+
+    int st;
+    if (!sim_idle_at_now(sim)) {
+        /* Busy instant: the request is deferred one dispatch. */
+        sim->n_fallback += 1;
+        st = heap_push(sim, sim->now, (PyObject *)ch, K_CHARGE);
+    }
+    else if (self->in_use < self->capacity) {
+        /* Quiet and free: grant inline. */
+        ch->qdepth = resource_qdepth(self);
+        resource_account(self);
+        self->in_use++;
+        st = charge_hold(ch);
+    }
+    else
+        st = charge_request(ch);
+    Py_DECREF(ch);
+    if (st < 0) {
+        Py_DECREF(done);
+        return NULL;
+    }
+    return (PyObject *)done;
+}
+
+static PyObject *
+Resource_release(ResourceObject *self, PyObject *noargs)
+{
+    if (resource_check(self) < 0 || resource_release(self) < 0)
+        return NULL;
+    Py_RETURN_NONE;
+}
+
+static PyObject *
+Resource_busy_time(ResourceObject *self, PyObject *noargs)
+{
+    if (resource_check(self) < 0)
+        return NULL;
+    resource_account(self);
+    return PyFloat_FromDouble(self->busy_time);
+}
+
+static PyObject *
+Resource_get_in_use(ResourceObject *self, void *closure)
+{
+    return PyLong_FromSsize_t(self->in_use);
+}
+
+static PyObject *
+Resource_get_queue_length(ResourceObject *self, void *closure)
+{
+    return PyLong_FromSsize_t(self->q[0].len + self->q[1].len);
+}
+
+static PyMethodDef Resource_methods[] = {
+    {"_request", (PyCFunction)(void (*)(void))Resource_request, METH_FASTCALL,
+     "Ask for one slot; the returned event fires when granted."},
+    {"_occupy", (PyCFunction)(void (*)(void))Resource_occupy, METH_FASTCALL,
+     "One-shot request/hold/release; returns the completion event."},
+    {"release", (PyCFunction)Resource_release, METH_NOARGS,
+     "Return a slot; the next waiter (urgent first) is granted."},
+    {"busy_time", (PyCFunction)Resource_busy_time, METH_NOARGS,
+     "Integral of in-use servers over time."},
+    {NULL}
+};
+
+static PyGetSetDef Resource_getset[] = {
+    {"in_use", (getter)Resource_get_in_use, NULL, NULL, NULL},
+    {"queue_length", (getter)Resource_get_queue_length, NULL, NULL, NULL},
+    {NULL}
+};
+
+static PyMemberDef Resource_members[] = {
+    {"sim", T_OBJECT, offsetof(ResourceObject, sim), READONLY, NULL},
+    {"name", T_OBJECT, offsetof(ResourceObject, name), READONLY, NULL},
+    {"capacity", T_PYSSIZET, offsetof(ResourceObject, capacity), READONLY,
+     NULL},
+    {NULL}
+};
+
+static PyTypeObject ResourceType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.sim._ccore.Resource",
+    .tp_basicsize = sizeof(ResourceObject),
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_BASETYPE | Py_TPFLAGS_HAVE_GC,
+    .tp_doc = "A counted resource with FIFO granting per priority level.",
+    .tp_new = PyType_GenericNew,
+    .tp_init = (initproc)Resource_init,
+    .tp_dealloc = (destructor)Resource_dealloc,
+    .tp_traverse = (traverseproc)Resource_traverse,
+    .tp_clear = (inquiry)Resource_clear,
+    .tp_methods = Resource_methods,
+    .tp_getset = Resource_getset,
+    .tp_members = Resource_members,
+};
+
+/* ------------------------------------------------------------------ */
 /* Dispatch                                                            */
 /* ------------------------------------------------------------------ */
 
@@ -834,6 +1346,8 @@ static PyTypeObject ProcessType = {
 static int
 dispatch_item(SimObject *sim, PyObject *item, int kind)
 {
+    if (kind == K_CHARGE)
+        return charge_step((ChargeObject *)item);
     if (kind == K_CALL) {
         PyObject *r = PyObject_CallNoArgs(item);
         if (!r)
@@ -1160,7 +1674,7 @@ Sim_post(SimObject *self, PyObject *args, PyObject *kwds)
 static PyObject *
 Sim_idle_at_now(SimObject *self, PyObject *noargs)
 {
-    return PyBool_FromLong(self->hlen == 0 || self->ht[0] > self->now);
+    return PyBool_FromLong(sim_idle_at_now(self));
 }
 
 static PyObject *
@@ -1393,31 +1907,8 @@ mod_fire(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "fire() expects an Event");
         return NULL;
     }
-    EventObject *ev = (EventObject *)args[0];
-    PyObject *value = nargs == 2 ? args[1] : Py_None;
-    if (ev->value != Pending) {
-        PyErr_SetString(SimError, "event already triggered");
+    if (event_fire((EventObject *)args[0], nargs == 2 ? args[1] : Py_None) < 0)
         return NULL;
-    }
-    Py_XSETREF(ev->value, Py_NewRef(value));
-    ev->ok = 1;
-    ev->scheduled = 1;
-    ((SimObject *)ev->sim)->n_fast += 1;
-    PyObject *cbs = ev->callbacks;
-    ev->callbacks = NULL;
-    if (cbs != NULL) {
-        for (Py_ssize_t i = 0; i < PyList_GET_SIZE(cbs); i++) {
-            PyObject *cb = Py_NewRef(PyList_GET_ITEM(cbs, i));
-            PyObject *r = PyObject_CallOneArg(cb, (PyObject *)ev);
-            Py_DECREF(cb);
-            if (!r) {
-                Py_DECREF(cbs);
-                return NULL;
-            }
-            Py_DECREF(r);
-        }
-        Py_DECREF(cbs);
-    }
     Py_RETURN_NONE;
 }
 
@@ -1495,7 +1986,8 @@ PyInit__ccore(void)
     if (!str_send || !str_throw || !str_value || !str_dunder_name)
         return NULL;
     if (PyType_Ready(&SimType) < 0 || PyType_Ready(&EventType) < 0 ||
-        PyType_Ready(&TimeoutType) < 0 || PyType_Ready(&ProcessType) < 0)
+        PyType_Ready(&TimeoutType) < 0 || PyType_Ready(&ProcessType) < 0 ||
+        PyType_Ready(&ResourceType) < 0 || PyType_Ready(&ChargeType) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&ccoremodule);
     if (!m)
@@ -1503,7 +1995,8 @@ PyInit__ccore(void)
     if (PyModule_AddObjectRef(m, "Simulator", (PyObject *)&SimType) < 0 ||
         PyModule_AddObjectRef(m, "Event", (PyObject *)&EventType) < 0 ||
         PyModule_AddObjectRef(m, "Timeout", (PyObject *)&TimeoutType) < 0 ||
-        PyModule_AddObjectRef(m, "Process", (PyObject *)&ProcessType) < 0) {
+        PyModule_AddObjectRef(m, "Process", (PyObject *)&ProcessType) < 0 ||
+        PyModule_AddObjectRef(m, "Resource", (PyObject *)&ResourceType) < 0) {
         Py_DECREF(m);
         return NULL;
     }

@@ -1,7 +1,7 @@
 """Compiled tier: loads ``_ccore`` and finishes its Python-side wiring.
 
 The C extension implements the hot core (event store, dispatch loop,
-generator protocol); this module supplies the pieces that belong in
+generator protocol, the counted Resource and its charge path); this module supplies the pieces that belong in
 Python — the shared exception types and PENDING sentinel (imported
 from ``_pyengine`` so ``isinstance`` and identity checks agree across
 tiers), the AllOf/AnyOf condition classes (Python subclasses of the C
@@ -25,6 +25,7 @@ Event = _ccore.Event
 Timeout = _ccore.Timeout
 Process = _ccore.Process
 Simulator = _ccore.Simulator
+Resource = _ccore.Resource
 fire = _ccore.fire
 chain = _ccore.chain
 
@@ -37,6 +38,7 @@ __all__ = [
     "AnyOf",
     "Process",
     "Simulator",
+    "Resource",
     "Interrupt",
     "SimulationError",
     "chain",

@@ -31,6 +31,12 @@ tie-break counter exactly once, so ``Simulator.stats()`` reports the
 same ``events_processed`` for a given workload as the legacy engine
 (each legacy boxed entry maps to exactly one entry here).
 
+The counted :class:`Resource` (CPUs, links) is part of the same
+contract: its charge path — request, grant, hold expiry and release —
+makes the same heap entries at the same ``(time, tiebreak)`` on both
+tiers.  :mod:`repro.sim.primitives` adds the public ``request`` /
+``occupy`` / ``execute_ev`` methods on top.
+
 The compiled tier implements this same store with C-native parallel
 arrays (times / tie-breaks / items) and a C event record; the two tiers
 are drop-in interchangeable and golden-suite verified against each
@@ -40,6 +46,7 @@ other (``REPRO_ENGINE=python|compiled``).
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ._conditions import build_conditions
@@ -51,6 +58,7 @@ __all__ = [
     "AnyOf",
     "Process",
     "Simulator",
+    "Resource",
     "Interrupt",
     "SimulationError",
     "chain",
@@ -517,6 +525,127 @@ class Simulator:
         if not proc._ok:
             raise proc._value
         return proc._value
+
+
+class Resource:
+    """A counted resource with FIFO granting per priority level.
+
+    Priority 0 waiters (``priority <= 0``) are granted before priority 1
+    waiters; within a level the order is FIFO, and :meth:`_request`
+    events and :meth:`_occupy` charges share one queue.  This is the
+    engine half of :class:`repro.sim.Resource`, which adds the public
+    ``request``/``occupy`` methods.
+    """
+
+    __slots__ = ("sim", "capacity", "name", "_in_use", "_queues",
+                 "_busy_time", "_last_change")
+
+    def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
+        if capacity < 1:
+            raise SimulationError(f"resource capacity must be >= 1: {capacity}")
+        self.sim = sim
+        self.capacity = capacity
+        self.name = name
+        self._in_use = 0
+        self._queues = (deque(), deque())  # priority 0, priority 1
+        # Occupancy accounting (for utilization reports).
+        self._busy_time = 0.0
+        self._last_change = 0.0
+
+    @property
+    def in_use(self) -> int:
+        return self._in_use
+
+    @property
+    def queue_length(self) -> int:
+        return len(self._queues[0]) + len(self._queues[1])
+
+    def _account(self) -> None:
+        now = self.sim.now
+        self._busy_time += self._in_use * (now - self._last_change)
+        self._last_change = now
+
+    def busy_time(self) -> float:
+        """Integral of in-use servers over time (divide by elapsed for util)."""
+        self._account()
+        return self._busy_time
+
+    def _request(self, priority: int = 0) -> Event:
+        """Ask for one slot; the returned event fires when granted."""
+        ev = Event(self.sim)
+        if self._in_use < self.capacity:
+            self._account()
+            self._in_use += 1
+            ev.succeed(self)
+        else:
+            self._queues[priority > 0].append(ev)
+        return ev
+
+    def _occupy(self, seconds: float, priority: int = 0,
+                on_release: Optional[Callable[[float, int], None]] = None
+                ) -> Event:
+        """One-shot request/hold/release; returns the completion event.
+
+        Heap entries, in order: at a busy instant the request is
+        deferred one dispatch (a counted fallback) and a grant on a free
+        slot is posted, one more; a grant from the queue is posted by
+        :meth:`release`; the hold is one entry ``seconds`` out; the
+        completion is posted after the release, or fired inline when the
+        instant is quiet.  At a quiet instant the request, and a free
+        slot's grant, happen inline.
+
+        ``on_release(t0, qdepth)``, if given, runs right after the
+        release: ``t0`` is the grant time and ``qdepth`` the queue depth
+        this charge joined, counting itself, sampled at request time.
+        """
+        if seconds < 0:
+            raise SimulationError(f"negative occupy time: {seconds}")
+        sim = self.sim
+        done = Event(sim)
+
+        def hold(qdepth: int) -> None:
+            t0 = sim.now
+
+            def expire() -> None:
+                self.release()
+                if on_release is not None:
+                    on_release(t0, qdepth)
+                if sim.idle_at_now():
+                    fire(done, None)  # quiet: complete inline
+                else:
+                    done.succeed(None)
+
+            sim.after_call(seconds, expire)
+
+        def request() -> None:
+            qdepth = self.queue_length + self._in_use + 1
+            self._request(priority).callbacks.append(
+                lambda _ev: hold(qdepth))
+
+        if not sim.idle_at_now():
+            sim._n_fallback += 1
+            sim.after_call(0.0, request)
+        elif self._in_use < self.capacity:
+            qdepth = self.queue_length + self._in_use + 1
+            self._account()
+            self._in_use += 1
+            hold(qdepth)
+        else:
+            request()
+        return done
+
+    def release(self) -> None:
+        """Return a slot; the next waiter (urgent first) is granted."""
+        if self._in_use <= 0:
+            raise SimulationError(f"release of idle resource {self.name!r}")
+        for queue in self._queues:
+            while queue:
+                waiter = queue.popleft()
+                if waiter._value is PENDING:
+                    waiter.succeed(self)  # hand the slot over directly
+                    return
+        self._account()
+        self._in_use -= 1
 
 
 def fire(ev: Event, value: Any = None) -> None:

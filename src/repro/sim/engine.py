@@ -1,11 +1,15 @@
 """Facade over the two-tier discrete-event core: selects and re-exports.
 
 The engine API (:class:`Event`, :class:`Timeout`, :class:`Process`,
-:class:`Simulator`, :func:`chain`, :func:`fire`, …) has two
-implementations of one shared *event store* contract — heap entries are
-compact ``(time, tiebreak, item)`` triples, same-instant entries drain
-in batched dispatch runs, and every entry bumps the tie-break counter
-exactly once so ``Simulator.stats()`` agrees across tiers:
+:class:`Simulator`, :class:`Resource`, :func:`chain`, :func:`fire`, …)
+has two implementations of one shared *event store* contract — heap
+entries are compact ``(time, tiebreak, item)`` triples, same-instant
+entries drain in batched dispatch runs, and every entry bumps the
+tie-break counter exactly once so ``Simulator.stats()`` agrees across
+tiers.  ``Resource`` is the counted-resource charge path (per-priority
+FIFO, busy-time accounting, ``release``, and the request/grant/expiry
+steps of ``_occupy``); :mod:`repro.sim.primitives` subclasses it with
+the public ``request``/``occupy`` methods:
 
 * ``_pyengine`` — the portable pure-Python tier.  Always available.
 * ``_cengine`` — the compiled tier: the same store as a C extension
@@ -49,6 +53,7 @@ __all__ = [
     "AnyOf",
     "Process",
     "Simulator",
+    "Resource",
     "Interrupt",
     "SimulationError",
     "chain",
@@ -85,5 +90,6 @@ AllOf = _impl.AllOf
 AnyOf = _impl.AnyOf
 Process = _impl.Process
 Simulator = _impl.Simulator
+Resource = _impl.Resource
 chain = _impl.chain
 fire = _impl.fire

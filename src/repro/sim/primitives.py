@@ -12,8 +12,9 @@ These are the building blocks the network and runtime layers use:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Generator, Optional
+from typing import Any, Callable, Deque, Generator, Optional
 
+from . import engine as _engine
 from .engine import Event, SimulationError, Simulator, fire
 
 __all__ = ["Channel", "Resource", "CPU", "Barrier"]
@@ -56,7 +57,7 @@ class Channel:
         return None
 
 
-class Resource:
+class Resource(_engine.Resource):
     """A counted resource with FIFO granting per priority level.
 
     Two priority levels: 0 (urgent — protocol/interrupt work) and 1
@@ -70,65 +71,34 @@ class Resource:
         grant = yield resource.request()
         ...
         resource.release()
+
+    The queues, the busy-time accounting, :meth:`release` and the charge
+    path live in the engine tier (``_pyengine.Resource``, or its C
+    transcription in ``_ccore.c``); the methods here stay plain Python
+    functions so profilers can count calls into them by name.
     """
 
-    def __init__(self, sim: Simulator, capacity: int = 1, name: str = ""):
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1: {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()       # priority 0
-        self._low_waiters: Deque[Event] = deque()   # priority 1
-        # Occupancy accounting (for utilization reports).
-        self._busy_time = 0.0
-        self._last_change = 0.0
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters) + len(self._low_waiters)
-
-    def _account(self) -> None:
-        now = self.sim.now
-        self._busy_time += self._in_use * (now - self._last_change)
-        self._last_change = now
-
-    def busy_time(self) -> float:
-        """Integral of in-use servers over time (divide by elapsed for util)."""
-        self._account()
-        return self._busy_time
+    __slots__ = ()
 
     def request(self, priority: int = 0) -> Event:
         """Ask for one slot; the returned event fires when granted."""
-        ev = Event(self.sim)
-        if self._in_use < self.capacity:
-            self._account()
-            self._in_use += 1
-            ev.succeed(self)
-        elif priority <= 0:
-            self._waiters.append(ev)
-        else:
-            self._low_waiters.append(ev)
-        return ev
+        return self._request(priority)
 
-    def occupy(self, seconds: float, priority: int = 0) -> Event:
+    def occupy(self, seconds: float, priority: int = 0,
+               on_release: Optional[Callable[[float, int], None]] = None
+               ) -> Event:
         """One-shot request/hold/release; returns the completion event.
 
         The event-minimizing counterpart of the request/timeout/release
         process pattern.  When a slot is free the grant is synchronous
-        and the hold is a single analytically-scheduled timeout — no
-        generator, no :class:`~.engine.Process`.  When the resource is
-        contended it falls back to the queued path: the request joins
-        the same FIFO (per priority level) as :meth:`request`, so fast
-        and queued occupancies interleave with identical semantics.
+        and the hold is a single heap entry — no generator, no
+        :class:`~.engine.Process`.  When the resource is contended the
+        request joins the same FIFO (per priority level) as
+        :meth:`request`, so charges and requests interleave with
+        identical semantics.
 
-        The completion event is *posted* after the release (not the
-        hold timeout itself), so a waiter resumes one dispatch later —
+        The completion event is *posted* after the release (not at the
+        hold's expiry itself), so a waiter resumes one dispatch later —
         the same position a process-based request/timeout/release
         caller resumes at, after the slot has been handed to the next
         waiter.
@@ -139,69 +109,17 @@ class Resource:
         dispatch after the call, hold scheduled one dispatch after the
         grant), so same-instant races — a release racing a fresh
         arrival, holds on different resources expiring together —
-        linearize identically in fast and process-based runs.  When
-        nothing else is scheduled at this instant the deferrals are
-        unobservable and are elided: one timeout, zero intermediate
-        dispatches.  Virtual-time behavior is identical to the process
-        pattern either way — only the host-side event count differs.
+        linearize identically.  When nothing else is scheduled at this
+        instant the deferrals are unobservable and are elided: one heap
+        entry, zero intermediate dispatches.
+
+        ``on_release(t0, qdepth)`` runs right after the release, before
+        the completion: ``t0`` is the grant time and ``qdepth`` the
+        queue this charge joined, counting itself, sampled at request
+        time.  The fabric's ``link.busy`` and ``gw.forward`` trace
+        records read them.
         """
-        if seconds < 0:
-            raise SimulationError(f"negative occupy time: {seconds}")
-        sim = self.sim
-        done = Event(sim)
-        if sim.idle_at_now():
-            # Quiet instant: grant (or enqueue) synchronously.
-            if self._in_use < self.capacity:
-                self._account()
-                self._in_use += 1
-                self._occupy_granted(done, seconds)
-            else:
-                gate = Event(sim)
-                if priority <= 0:
-                    self._waiters.append(gate)
-                else:
-                    self._low_waiters.append(gate)
-                gate.callbacks.append(
-                    lambda _ev, d=done, s=seconds: self._occupy_granted(d, s))
-            return done
-
-        # Busy instant: request one dispatch later (request() posts the
-        # grant, putting the hold two dispatches out — process parity).
-        sim._n_fallback += 1
-
-        def _request() -> None:
-            gate = self.request(priority)
-            gate.callbacks.append(
-                lambda _e, d=done, s=seconds: self._occupy_granted(d, s))
-
-        sim.after_call(0.0, _request)
-        return done
-
-    def _occupy_granted(self, done: Event, seconds: float) -> None:
-        # The hold is a bare call slot — one heap entry (same count as the
-        # timeout the process pattern scheduled), zero boxed events.
-        def _fin(self=self, done=done) -> None:
-            self.release()
-            sim = self.sim
-            if sim.idle_at_now():
-                fire(done, None)  # quiet: complete inline, skip one dispatch
-            else:
-                done.succeed(None)
-
-        self.sim.after_call(seconds, _fin)
-
-    def release(self) -> None:
-        """Return a slot; the next waiter (urgent first) is granted."""
-        if self._in_use <= 0:
-            raise SimulationError(f"release of idle resource {self.name!r}")
-        for queue in (self._waiters, self._low_waiters):
-            while queue:
-                waiter = queue.popleft()
-                if not waiter.triggered:
-                    waiter.succeed(self)  # hand the slot over directly
-                    return
-        self._account()
-        self._in_use -= 1
+        return self._occupy(seconds, priority, on_release)
 
 
 class CPU(Resource):
@@ -211,6 +129,8 @@ class CPU(Resource):
     its CPU, so a node flooded with incoming messages genuinely loses
     compute throughput — the mechanism behind RA's WAN collapse.
     """
+
+    __slots__ = ()
 
     def __init__(self, sim: Simulator, name: str = ""):
         super().__init__(sim, capacity=1, name=name)
@@ -237,7 +157,7 @@ class CPU(Resource):
         :meth:`Resource.occupy`).  The hot path for per-message protocol
         overhead in the fabric and the Orca runtime.
         """
-        return self.occupy(seconds, priority)
+        return self._occupy(seconds, priority, None)
 
 
 class Barrier:

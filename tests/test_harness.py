@@ -1,5 +1,7 @@
 """Tests for the experiment harness and figure/table registry."""
 
+import gc
+
 import pytest
 
 from repro.apps import PAPER_ORDER, make_app, paper_params, small_params
@@ -13,6 +15,8 @@ from repro.harness import (
     run_app,
     speedup_curve,
 )
+from repro.harness.experiment import RECLAIM_EVENTS
+from repro.sim import Simulator
 
 
 def test_registry_covers_all_eight_apps():
@@ -52,6 +56,19 @@ def test_run_app_deterministic():
     b = run_app(make_app("atpg"), "original", 2, 2, params)
     assert a.elapsed == b.elapsed
     assert a.traffic == b.traffic
+
+
+def test_run_app_frees_a_long_runs_world():
+    """A finished run's world is cyclic garbage; run_app frees a long
+    run's before returning, so consecutive runs never hold two."""
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, Simulator)]
+    for _ in range(2):
+        res = run_app(make_app("sor"), "optimized", 4, 4, small_params("sor"))
+        assert res.sim_stats["events_processed"] >= RECLAIM_EVENTS
+        alive = [o for o in gc.get_objects() if isinstance(o, Simulator)
+                 and not any(o is b for b in before)]
+        assert not alive
 
 
 def test_speedup_curve_monotone_cpu_filter():
